@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .errors import CodebookTooLarge, DimensionMismatch, ModelSpecError, RcexpError
 from .exponents import (
+    _CHANNEL_KINDS,
     ExponentResult,
     correct_envelope,
     correct_exponent,
@@ -55,10 +56,41 @@ EXIT_DIMENSION = 3
 EXIT_OUTPUT = 4
 EXIT_CODEBOOK = 5
 
-_SOURCE_KINDS = ("success", "failure-envelope")
-_CHANNEL_KINDS = ("gallager-error", "error-extended", "correct",
-                  "correct-extended-envelope", "forney-tradeoff", "e-bound")
-ALL_KINDS = _SOURCE_KINDS + _CHANNEL_KINDS
+_SOURCE = ("source", "codebook", "distortion")
+_CHANNEL = ("codebook", "channel")
+
+# kind -> (model-spec fields, evaluator(models, R, D, rho_cap keywords),
+# brute-force oracle(models, R, D, grid) or None), in exponents.KINDS order.
+# The callables name their library functions, so a wrapper patched onto the
+# module (the benchmark's tracer) sees each call.  The gallager-error oracle
+# runs at D = 0, the only level of its exponent.
+_KINDS = {
+    "success": (_SOURCE, lambda m, r, d, cap: success_exponent(*m, d, r),
+                lambda m, r, d, grid: success_exponent_brute(*m, d, r, grid)),
+    "failure-envelope": (_SOURCE, lambda m, r, d, cap: failure_envelope(*m, d, r, **cap),
+                         lambda m, r, d, grid: failure_exponent_brute(*m, d, r, grid)),
+    "gallager-error": (_CHANNEL, lambda m, r, d, cap: gallager_error_exponent(*m, r),
+                       lambda m, r, d, grid: channel_exponent_brute(*m, r, 0.0, "error", grid)),
+    "error-extended": (_CHANNEL, lambda m, r, d, cap: margin_error_exponent(*m, r, d),
+                       lambda m, r, d, grid: channel_exponent_brute(*m, r, d, "error", grid)),
+    "correct": (_CHANNEL, lambda m, r, d, cap: correct_exponent(*m, r),
+                lambda m, r, d, grid: channel_exponent_brute(*m, r, 0.0, "correct", grid)),
+    "correct-extended-envelope": (
+        _CHANNEL, lambda m, r, d, cap: correct_envelope(*m, r, d, **cap), None),
+    "forney-tradeoff": (_CHANNEL, lambda m, r, d, cap: forney_exponent(*m, r, d, **cap), None),
+    "e-bound": (_CHANNEL, lambda m, r, d, cap: forney_bound_exponent(*m, r, d), None),
+}
+
+# experiment -> (model-spec fields, simulator(models, config, threads), the
+# kind whose exponent --compare reports)
+_EXPERIMENTS = {
+    "source-encode": (_SOURCE, lambda m, cfg, t: simulate_source(cfg, *m, threads=t),
+                      "success"),
+    "channel-margin": (_CHANNEL, lambda m, cfg, t: simulate_channel_margin(cfg, *m, threads=t),
+                       "error-extended"),
+    "forney": (_CHANNEL, lambda m, cfg, t: simulate_forney(cfg, *m, threads=t),
+               "forney-tradeoff"),
+}
 
 
 def _fmt(value: float):
@@ -80,47 +112,27 @@ def _need(spec: ModelSpec, field: str):
     return obj
 
 
+def _models(spec: ModelSpec, fields: tuple) -> list:
+    return [_need(spec, field) for field in fields]
+
+
 def _evaluate(spec: ModelSpec, kind: str, rate: float, level: float,
               rho_cap: float | None) -> ExponentResult:
+    fields, evaluate, _ = _KINDS[kind]
     cap_kw = {} if rho_cap is None else {"rho_cap": rho_cap}
-    if kind == "success":
-        return success_exponent(_need(spec, "source"), _need(spec, "codebook"),
-                                _need(spec, "distortion"), level, rate)
-    if kind == "failure-envelope":
-        return failure_envelope(_need(spec, "source"), _need(spec, "codebook"),
-                                _need(spec, "distortion"), level, rate, **cap_kw)
-    q = _need(spec, "codebook")
-    p = _need(spec, "channel")
-    if kind == "gallager-error":
-        return gallager_error_exponent(q, p, rate)
-    if kind == "error-extended":
-        return margin_error_exponent(q, p, rate, level)
-    if kind == "correct":
-        return correct_exponent(q, p, rate)
-    if kind == "correct-extended-envelope":
-        return correct_envelope(q, p, rate, level, **cap_kw)
-    if kind == "forney-tradeoff":
-        return forney_exponent(q, p, rate, level, **cap_kw)
-    if kind == "e-bound":
-        return forney_bound_exponent(q, p, rate, level)
-    raise DimensionMismatch(f"unknown kind {kind!r}")
+    return evaluate(_models(spec, fields), rate, level, cap_kw)
 
 
-def _oracle_value(spec: ModelSpec, kind: str, rate: float, level: float, m: int):
+def _oracle_value(spec: ModelSpec, kind: str, rate: float, level: float, m: int,
+                  engine: float) -> tuple:
+    """The brute-force value at grid denominator m, and its gap to ``engine`` (0 if both inf)."""
     grid = GridSpec(m)
-    if kind == "success":
-        return success_exponent_brute(_need(spec, "source"), _need(spec, "codebook"),
-                                      _need(spec, "distortion"), level, rate, grid)
-    if kind == "failure-envelope":
-        return failure_exponent_brute(_need(spec, "source"), _need(spec, "codebook"),
-                                      _need(spec, "distortion"), level, rate, grid)
-    q = _need(spec, "codebook")
-    p = _need(spec, "channel")
-    if kind in ("error-extended", "gallager-error"):
-        return channel_exponent_brute(q, p, rate, level, "error", grid)
-    if kind == "correct":
-        return channel_exponent_brute(q, p, rate, 0.0, "correct", grid)
-    raise DimensionMismatch(f"no brute-force oracle for kind {kind!r}")
+    fields, _, oracle = _KINDS[kind]
+    models = _models(spec, fields)
+    if oracle is None:
+        raise DimensionMismatch(f"no brute-force oracle for kind {kind!r}")
+    brute = oracle(models, rate, level, grid)
+    return brute, 0.0 if math.isinf(brute) and math.isinf(engine) else abs(brute - engine)
 
 
 def _result_payload(res: ExponentResult) -> dict:
@@ -182,15 +194,12 @@ def cmd_compute(args) -> int:
     payload = {"kind": args.kind, "R": args.rate, "D": level}
     payload.update(_result_payload(res))
     if args.oracle:
-        brute = _oracle_value(spec, args.kind, args.rate, level, args.oracle)
+        brute, gap = _oracle_value(spec, args.kind, args.rate, level, args.oracle, res.value)
         payload["oracle_value"] = _fmt(brute)
-        both_infinite = math.isinf(brute) and math.isinf(res.value)
-        payload["oracle_gap"] = 0.0 if both_infinite else _fmt(abs(brute - res.value))
+        payload["oracle_gap"] = _fmt(gap)
     if args.inner_scan_rho is not None:
         grid = np.concatenate([[0.0], np.geomspace(1e-3, 2.0 ** 16, 2000)])
-        minima = refine_inner_minima(_need(spec, "source"), _need(spec, "codebook"),
-                                     _need(spec, "distortion"), level,
-                                     args.inner_scan_rho, grid)
+        minima = refine_inner_minima(*_models(spec, _SOURCE), level, args.inner_scan_rho, grid)
         payload["inner_scan"] = {
             "rho": args.inner_scan_rho,
             "local_minima": [{"s": s, "value": v} for s, v in minima],
@@ -253,15 +262,8 @@ def cmd_simulate(args) -> int:
         experiment=args.experiment,
         codebook_cap=args.codebook_cap,
     )
-    if args.experiment == "source-encode":
-        result = simulate_source(cfg, _need(spec, "source"), _need(spec, "codebook"),
-                                 _need(spec, "distortion"), threads=args.threads)
-    elif args.experiment == "channel-margin":
-        result = simulate_channel_margin(cfg, _need(spec, "codebook"),
-                                         _need(spec, "channel"), threads=args.threads)
-    else:
-        result = simulate_forney(cfg, _need(spec, "codebook"), _need(spec, "channel"),
-                                 threads=args.threads)
+    fields, simulate, compare_kind = _EXPERIMENTS[args.experiment]
+    result = simulate(_models(spec, fields), cfg, args.threads)
     summary = {
         "experiment": args.experiment,
         "event": result.event,
@@ -272,15 +274,7 @@ def cmd_simulate(args) -> int:
         "slope_stderr": _fmt(result.slope_stderr),
     }
     if args.compare:
-        if args.experiment == "source-encode":
-            engine = success_exponent(_need(spec, "source"), _need(spec, "codebook"),
-                                      _need(spec, "distortion"), level, args.rate).value
-        elif args.experiment == "channel-margin":
-            engine = margin_error_exponent(_need(spec, "codebook"), _need(spec, "channel"),
-                                           args.rate, level).value
-        else:
-            engine = forney_exponent(_need(spec, "codebook"), _need(spec, "channel"),
-                                     args.rate, level).value
+        engine = _evaluate(spec, compare_kind, args.rate, level, None).value
         summary["engine_exponent"] = _fmt(engine)
         if result.exponent_estimate is not None and engine not in (0.0, math.inf):
             summary["relative_gap"] = abs(result.exponent_estimate - engine) / engine
@@ -324,12 +318,10 @@ def cmd_oracle_audit(args) -> int:
     spec = load_model(args.model)
     level = spec.resolve_level(args.level_value, args.scaled)
     res = _evaluate(spec, args.kind, args.rate, level, None)
-    brute = _oracle_value(spec, args.kind, args.rate, level, args.grid)
+    brute, gap = _oracle_value(spec, args.kind, args.rate, level, args.grid, res.value)
     objects = [o for o in (spec.source, spec.codebook, spec.channel) if o is not None]
     span = spec.distortion.d_max - spec.distortion.d_min if spec.distortion is not None else 1.0
     tol = grid_tolerance(args.grid, model_min_prob(*objects), span)
-    both_infinite = math.isinf(brute) and math.isinf(res.value)
-    gap = 0.0 if both_infinite else abs(brute - res.value)
     payload = {
         "kind": args.kind, "R": args.rate, "D": level, "grid": args.grid,
         "engine": _fmt(res.value), "oracle": _fmt(brute),
@@ -357,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("compute", help="evaluate one exponent")
     sp.add_argument("model")
-    sp.add_argument("--kind", choices=ALL_KINDS, default="success")
+    sp.add_argument("--kind", choices=tuple(_KINDS), default="success")
     sp.add_argument("--R", dest="rate", type=float, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--rho-cap", dest="rho_cap", type=float, default=None)
@@ -371,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("curve", help="sweep rates and levels to CSV")
     sp.add_argument("model")
-    sp.add_argument("--kind", choices=ALL_KINDS, required=True)
+    sp.add_argument("--kind", choices=tuple(_KINDS), required=True)
     sp.add_argument("--rates", required=True, help="comma list or start:stop:count")
     sp.add_argument("--D", dest="level", default="0.0",
                     help="comma list of distortion levels")
@@ -384,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("simulate", help="Monte-Carlo random-coding experiment")
     sp.add_argument("model")
-    sp.add_argument("--experiment", choices=("source-encode", "channel-margin", "forney"),
-                    required=True)
+    sp.add_argument("--experiment", choices=tuple(_EXPERIMENTS), required=True)
     sp.add_argument("--n", required=True, help="comma list of block lengths")
     sp.add_argument("--rate", type=float, required=True)
     _add_level_args(sp)
@@ -400,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("maximize-q", help="optimize the codebook distribution")
     sp.add_argument("model")
-    sp.add_argument("--kind", choices=("error-extended", "forney-tradeoff", "e-bound"),
-                    default="error-extended")
+    sp.add_argument("--kind", choices=tuple(_CHANNEL_KINDS), default="error-extended")
     sp.add_argument("--R", dest="rate", type=float, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--grid", type=int, default=16)
@@ -416,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("oracle-audit", help="engine vs brute force at one point")
     sp.add_argument("model")
-    sp.add_argument("--kind", choices=("success", "failure-envelope", "gallager-error",
-                                       "error-extended", "correct"), required=True)
+    sp.add_argument("--kind", choices=tuple(k for k, (_, _, oracle) in _KINDS.items()
+                                            if oracle is not None), required=True)
     sp.add_argument("--R", dest="rate", type=float, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--grid", type=int, default=24)

@@ -23,11 +23,13 @@ from .errors import DimensionMismatch
 from .optimize import (
     concave_max_on_ray,
     golden_max,
+    maximize_over_simplex,
     unimodal_max_01,
     unimodal_max_ray_reparam,
 )
-from .probability import Channel, Distribution, DistortionModel, support_or_raise
+from .probability import Channel, Distribution, DistortionModel, mutual_information
 from .rates import DIV_TOL, S_CAP, S_CAP_HARD, finiteness_boundary
+from .rates import _input_logs, _lse_rows, _margin_gap, _restrict
 
 RHO_CAP = 64.0
 FLAG_TOL = 1e-6
@@ -76,12 +78,6 @@ class ExponentResult:
 # ---------------------------------------------------------------------------
 
 
-def _lse_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp without scipy's dispatch overhead."""
-    m = a.max(axis=1)
-    return np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
-
-
 def _lse_flat(a: np.ndarray) -> float:
     m = a.max()
     return float(np.log(np.exp(a - m).sum()) + m)
@@ -98,12 +94,14 @@ def _e0_eval(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray,
     return -_lse_flat(lnw + rho * _lse_rows(lnq[None, :] - s * gap))
 
 
-def _tight_log_mass(lnq: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """Per-row log codebook mass of the letters meeting the distortion level."""
+def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
+                keep: np.ndarray) -> float:
+    """Infinite-tilt limit  -ln sum_{x in keep} w(x) mass_x^rho, where mass_x is
+    the codebook mass of the letters meeting the distortion level in row x."""
     feas = gap <= 1e-12
     with np.errstate(divide="ignore"):
-        mass = np.where(feas, np.exp(lnq)[None, :], 0.0).sum(axis=1)
-        return np.log(mass)
+        ln_mass = np.log(np.where(feas, np.exp(lnq)[None, :], 0.0).sum(axis=1))
+    return float(-logsumexp(lnw[keep] + rho * ln_mass[keep]))
 
 
 def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
@@ -119,27 +117,19 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     m = float(dmin.min())
     if m > DIV_TOL:
         return math.inf, math.inf
-
-    def limit_value() -> float:
-        keep = dmin <= 1e-12
-        return float(-logsumexp(lnw[keep] + rho * _tight_log_mass(lnq, gap)[keep]))
-
     if m >= -DIV_TOL:
         # Nondecreasing in the tilt; supremum attained in the limit.
-        return max(limit_value(), 0.0), math.inf
+        return max(_mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
     slope0 = rho * float(np.dot(np.exp(lnw), gap @ np.exp(lnq)))
     if slope0 <= 0.0:
         return 0.0, 0.0
 
-    def f(s: float) -> float:
-        return _e0_eval(lnw, gap, lnq, rho, s)
-
     # A finite maximizer exists, but its scale grows like 1/rho when some
     # rows lie strictly inside the distortion level and others outside, so
     # the bracket must be allowed to run very far before giving up.
-    res = concave_max_on_ray(f, max(s_cap, S_CAP_HARD))
+    res = concave_max_on_ray(lambda s: _e0_eval(lnw, gap, lnq, rho, s), max(s_cap, S_CAP_HARD))
     if res.at_upper:
-        return max(res.value, limit_value(), 0.0), math.inf
+        return max(res.value, _mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
     return max(res.value, 0.0), res.x
 
 
@@ -154,10 +144,6 @@ def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     """
     if rho <= 1e-14:
         return 0.0, 0.0
-
-    def f(s: float) -> float:
-        return -_lse_flat(lnw - rho * _lse_rows(lnq[None, :] - s * gap))
-
     grid = np.concatenate([[0.0], np.geomspace(1e-4, s_cap, n_grid - 1)])
     lnb = logsumexp(lnq[None, None, :] - grid[:, None, None] * gap[None, :, :], axis=2)
     vals = -logsumexp(lnw[None, :] - rho * lnb, axis=1)
@@ -176,15 +162,15 @@ def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
         j = i
         while j + 1 < len(grid) - 1 and is_min[j + 1]:
             j += 1
-        res = golden_max(lambda s: -f(s), grid[i - 1], grid[j + 1], rel_tol=1e-12)
+        res = golden_max(lambda s: -_e0_eval(lnw, gap, lnq, -rho, s), grid[i - 1], grid[j + 1],
+                         rel_tol=1e-12)
         if -res.value < best_val:
             best_val, best_s = -res.value, res.x
         i = j + 2
 
     dmin = gap.min(axis=1)
     if float(dmin.max()) >= -1e-12:
-        keep = dmin >= -1e-12
-        limit = float(-logsumexp(lnw[keep] - rho * _tight_log_mass(lnq, gap)[keep]))
+        limit = _mass_limit(lnw, gap, lnq, -rho, dmin >= -1e-12)
         if limit < best_val:
             best_val, best_s = limit, math.inf
     return best_val, best_s
@@ -201,12 +187,9 @@ def _source_parts(source: Distribution, codebook: Distribution,
         raise DimensionMismatch("source does not match distortion rows")
     if codebook.alphabet_size != d.reproduction_size:
         raise DimensionMismatch("codebook does not match distortion columns")
-    sup = support_or_raise(codebook)
-    lnq = np.log(codebook.probs[sup])
+    dsub, lnq = _restrict(codebook, d)
     active = source.probs > 0.0
-    lnw = np.log(source.probs[active])
-    gap = d.values[np.ix_(active, sup)] - level
-    return lnw, gap, lnq
+    return np.log(source.probs[active]), dsub[active] - level, lnq
 
 
 def _channel_parts(q: Distribution, p: Channel, level: float):
@@ -216,14 +199,9 @@ def _channel_parts(q: Distribution, p: Channel, level: float):
     columns are the supported competing inputs under the log-likelihood-ratio
     distortion shifted by ``level``.
     """
-    if q.alphabet_size != p.input_size:
-        raise DimensionMismatch("codebook does not match channel input")
-    sup = support_or_raise(q)
-    lnq = np.log(q.probs[sup])
-    lnp = np.log(p.probs)
-    lnw = (np.log(q.probs[sup])[:, None] + lnp[sup]).reshape(-1)
-    gap = (lnp[sup][:, :, None] - lnp[sup].T[None, :, :] - level)
-    return lnw, gap.reshape(sup.size * p.output_size, sup.size), lnq
+    lnq, lnp = _input_logs(q, p)
+    gap, _ = _margin_gap(q, p, level)
+    return (lnq[:, None] + lnp).reshape(-1), gap, lnq
 
 
 def gallager_e0(s: float, rho: float, q: Distribution, p: Channel,
@@ -237,22 +215,61 @@ def gallager_e0(s: float, rho: float, q: Distribution, p: Channel,
 
 
 # ---------------------------------------------------------------------------
+# The outer slope solve, shared by every exponent with a solved inner problem.
+# ---------------------------------------------------------------------------
+
+
+def _nonneg(value: float) -> float:
+    """max(value, 0.0) with a positive zero; max(-0.0, 0.0) is -0.0."""
+    return max(value, 0.0) + 0.0
+
+
+def _slope_solve(inner, rate: float, rho_cap: float | None = None):
+    """sup over rho of inner(rho)[0] - rho * rate, with inner(rho) = (value, s).
+
+    The slope ranges over [0, 1], or over [0, rho_cap] when a cap is given.
+    The value is clamped at zero, where the optimal slope is reported as zero,
+    and the inner problem is solved once more at the optimal slope for its
+    tilt.  Returns (value, rho_star, s_star, at_upper).
+    """
+
+    def outer(rho: float) -> float:
+        return inner(rho)[0] - rho * rate
+
+    if rho_cap is None:
+        res = unimodal_max_01(outer)
+    else:
+        res = unimodal_max_ray_reparam(outer, rho_cap)
+    value = _nonneg(res.value)
+    rho_star = res.x if value > 0.0 else 0.0
+    return value, rho_star, inner(rho_star)[1], res.at_upper
+
+
+def _tilt_max_01(lnw, gap, lnq, rho: float):
+    """sup over s in [0, 1] of e0(s, rho): the bounded-tilt inner problem."""
+    if rho <= 1e-14:
+        return 0.0, 0.0
+    res = unimodal_max_01(lambda s: _e0_eval(lnw, gap, lnq, rho, s), rel_tol=1e-10)
+    return res.value, res.x
+
+
+# ---------------------------------------------------------------------------
 # Success / error family (inner objective concave in s).
 # ---------------------------------------------------------------------------
 
 
-def _sup_family(lnw, gap, lnq, rate: float):
-    """sup over rho in [0, 1] of (sup_s e0(s, rho)) - rho * rate."""
+def _sup_exponent(lnw, gap, lnq, rate: float) -> ExponentResult:
+    """sup over rho in [0, 1] of (sup_s e0(s, rho)) - rho * rate.
 
-    def outer(rho: float) -> float:
-        value, _ = _sup_e0_ray(lnw, gap, lnq, rho)
-        return value - rho * rate
-
-    res = unimodal_max_01(outer)
-    value = max(res.value, 0.0)
-    rho_star = res.x if value > 0.0 else 0.0
-    _, s_star = _sup_e0_ray(lnw, gap, lnq, rho_star)
-    return value, rho_star, s_star
+    +inf when the level lies below every distortion on the codebook support.
+    """
+    m = float(gap.min())
+    flags = frozenset({"at_D_min"}) if abs(m) <= FLAG_TOL else frozenset()
+    if m > 1e-12:
+        return ExponentResult(math.inf, boundary_flags=flags)
+    value, rho_star, s_star, _ = _slope_solve(
+        lambda rho: _sup_e0_ray(lnw, gap, lnq, rho), rate)
+    return ExponentResult(value, rho_star, s_star, boundary_flags=flags)
 
 
 def success_exponent(source: Distribution, codebook: Distribution,
@@ -262,15 +279,7 @@ def success_exponent(source: Distribution, codebook: Distribution,
     Zero for rates above the source's rate function; +inf when the distortion
     level is unreachable inside the codebook support.
     """
-    lnw, gap, lnq = _source_parts(source, codebook, d, level)
-    flags = set()
-    m = float(gap.min())
-    if abs(m) <= 1e-12:
-        flags.add("at_D_min")
-    if m > 1e-12:
-        return ExponentResult(math.inf, boundary_flags=frozenset(flags))
-    value, rho_star, s_star = _sup_family(lnw, gap, lnq, rate)
-    return ExponentResult(value, rho_star, s_star, boundary_flags=frozenset(flags))
+    return _sup_exponent(*_source_parts(source, codebook, d, level), rate)
 
 
 def margin_error_exponent(q: Distribution, p: Channel, rate: float,
@@ -281,32 +290,19 @@ def margin_error_exponent(q: Distribution, p: Channel, rate: float,
     list decoder.  At ``level`` = 0 this is the classical random-coding error
     exponent.
     """
-    lnw, gap, lnq = _channel_parts(q, p, level)
-    flags = set()
-    m = float(gap.min())
-    if abs(m) <= FLAG_TOL:
-        flags.add("at_D_min")
-    if m > 1e-12:
-        return ExponentResult(math.inf, boundary_flags=frozenset(flags))
-    value, rho_star, s_star = _sup_family(lnw, gap, lnq, rate)
-    return ExponentResult(value, rho_star, s_star, boundary_flags=frozenset(flags))
+    return _sup_exponent(*_channel_parts(q, p, level), rate)
 
 
 def gallager_error_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult:
     """Classical random-coding error exponent in its collapsed one-parameter form."""
-    if q.alphabet_size != p.input_size:
-        raise DimensionMismatch("codebook does not match channel input")
-    sup = support_or_raise(q)
-    lnq = np.log(q.probs[sup])
-    lnp = np.log(p.probs[sup])
+    lnq, lnp = _input_logs(q, p)
 
-    def outer(rho: float) -> float:
+    def e0(rho: float):
         inner = _lse_rows((lnq[:, None] + lnp / (1.0 + rho)).T)
-        return -_lse_flat((1.0 + rho) * inner) - rho * rate
+        return -_lse_flat((1.0 + rho) * inner), None
 
-    res = unimodal_max_01(outer)
-    value = max(res.value, 0.0)
-    return ExponentResult(value, res.x if value > 0.0 else 0.0)
+    value, rho_star, _, _ = _slope_solve(e0, rate)
+    return ExponentResult(value, rho_star)
 
 
 def correct_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult:
@@ -316,11 +312,7 @@ def correct_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult
     with unit slope beyond the tangency rate.  The slope variable is capped
     just below one, where the objective approaches its affine asymptote.
     """
-    if q.alphabet_size != p.input_size:
-        raise DimensionMismatch("codebook does not match channel input")
-    sup = support_or_raise(q)
-    lnq = np.log(q.probs[sup])
-    lnp = np.log(p.probs[sup])
+    lnq, lnp = _input_logs(q, p)
 
     def outer(rho: float) -> float:
         inner = _lse_rows((lnq[:, None] + lnp / (1.0 - rho)).T)
@@ -330,7 +322,7 @@ def correct_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult
     res = golden_max(outer, 0.0, hi, rel_tol=1e-13, max_iter=240)
     candidates = [(outer(0.0), 0.0), (res.value, res.x), (outer(hi), hi)]
     value, rho_star = max(candidates)
-    value = max(value, 0.0)
+    value = _nonneg(value)
     return ExponentResult(value, rho_star if value > 0.0 else 0.0)
 
 
@@ -338,17 +330,20 @@ def correct_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult
 # Envelope family (inner objective multimodal in s, outer slope unbounded).
 # ---------------------------------------------------------------------------
 
+_TRIVIAL_ENVELOPE = ExponentResult(0.0, 0.0, 0.0,
+                                   boundary_flags=frozenset({"envelope_only", "trivial_zero"}))
 
-def _envelope_family(lnw, gap, lnq, rate: float, rho_cap: float):
-    def outer(rho: float) -> float:
-        value, _ = _inf_e0_ray(lnw, gap, lnq, rho)
-        return value + rho * rate
 
-    res = unimodal_max_ray_reparam(outer, rho_cap)
-    value = max(res.value, 0.0)
-    rho_star = res.x if value > 0.0 else 0.0
-    _, s_star = _inf_e0_ray(lnw, gap, lnq, rho_star)
-    return value, rho_star, s_star, res.at_upper
+def _envelope_exponent(lnw, gap, lnq, rate: float, rho_cap: float) -> ExponentResult:
+    """sup over rho in [0, rho_cap] of (inf_s e0(s, -rho)) + rho * rate."""
+    flags = {"envelope_only"}
+    value, rho_star, s_star, at_cap = _slope_solve(
+        lambda rho: _inf_e0_ray(lnw, gap, lnq, rho), -rate, rho_cap)
+    if at_cap:
+        flags.add("rho_at_cap")
+        if rate > _row_rate_max(gap, lnq) + 1e-9:
+            flags.add("beyond_r_max")
+    return ExponentResult(value, rho_star, s_star, boundary_flags=frozenset(flags))
 
 
 def failure_envelope(source: Distribution, codebook: Distribution,
@@ -364,16 +359,9 @@ def failure_envelope(source: Distribution, codebook: Distribution,
     limited by ``rho_cap`` and flagged.
     """
     lnw, gap, lnq = _source_parts(source, codebook, d, level)
-    flags = {"envelope_only"}
     if float(gap.min(axis=1).max()) > 1e-12:
-        flags.add("trivial_zero")
-        return ExponentResult(0.0, 0.0, 0.0, boundary_flags=frozenset(flags))
-    value, rho_star, s_star, at_cap = _envelope_family(lnw, gap, lnq, rate, rho_cap)
-    if at_cap:
-        flags.add("rho_at_cap")
-        if rate > _row_rate_max(gap, lnq) + 1e-9:
-            flags.add("beyond_r_max")
-    return ExponentResult(value, rho_star, s_star, boundary_flags=frozenset(flags))
+        return _TRIVIAL_ENVELOPE
+    return _envelope_exponent(lnw, gap, lnq, rate, rho_cap)
 
 
 def correct_envelope(q: Distribution, p: Channel, rate: float, level: float,
@@ -383,17 +371,9 @@ def correct_envelope(q: Distribution, p: Channel, rate: float, level: float,
     Defined for nonnegative ``level``; for negative levels the enveloping
     formula is identically zero and strictly below the true exponent.
     """
-    flags = {"envelope_only"}
     if level < -1e-12:
-        flags.add("trivial_zero")
-        return ExponentResult(0.0, 0.0, 0.0, boundary_flags=frozenset(flags))
-    lnw, gap, lnq = _channel_parts(q, p, level)
-    value, rho_star, s_star, at_cap = _envelope_family(lnw, gap, lnq, rate, rho_cap)
-    if at_cap:
-        flags.add("rho_at_cap")
-        if rate > _row_rate_max(gap, lnq) + 1e-9:
-            flags.add("beyond_r_max")
-    return ExponentResult(value, rho_star, s_star, boundary_flags=frozenset(flags))
+        return _TRIVIAL_ENVELOPE
+    return _envelope_exponent(*_channel_parts(q, p, level), rate, rho_cap)
 
 
 def _row_rate_max(gap: np.ndarray, lnq: np.ndarray) -> float:
@@ -476,25 +456,8 @@ def refine_inner_minima(source: Distribution, codebook: Distribution,
 
 
 def _component_one(lnw, gap, lnq, rate: float, rho_cap: float):
-    """sup over rho >= 0, s in [0, 1] of e0(s, rho) - rho * rate."""
-
-    def inner(rho: float):
-        if rho <= 1e-14:
-            return 0.0, 0.0
-
-        def f(s: float) -> float:
-            return _e0_eval(lnw, gap, lnq, rho, s)
-
-        res = unimodal_max_01(f, rel_tol=1e-10)
-        return res.value, res.x
-
-    def outer(rho: float) -> float:
-        return inner(rho)[0] - rho * rate
-
-    res = unimodal_max_ray_reparam(outer, rho_cap)
-    value = max(res.value, 0.0)
-    rho_star = res.x if value > 0.0 else 0.0
-    return value, rho_star, inner(rho_star)[1], res.at_upper
+    """sup over rho in [0, rho_cap], s in [0, 1] of e0(s, rho) - rho * rate."""
+    return _slope_solve(lambda rho: _tilt_max_01(lnw, gap, lnq, rho), rate, rho_cap)
 
 
 def forney_exponent(q: Distribution, p: Channel, rate: float, level: float,
@@ -521,19 +484,14 @@ def forney_exponent(q: Distribution, p: Channel, rate: float, level: float,
     if abs(rate - boundary) <= FLAG_TOL:
         flags.add("at_R_min")
 
-    m = float(gap.min())
-    if abs(m) <= FLAG_TOL:
-        flags.add("at_D_min")
-    if m > 1e-12:
-        comp2 = math.inf
-        rho2 = s2 = math.inf
-    else:
-        comp2, rho2, s2 = _sup_family(lnw, gap, lnq, rate)
+    second = _sup_exponent(lnw, gap, lnq, rate)
+    flags |= second.boundary_flags
+    comp2 = second.value
 
     if comp1 <= comp2:
         value, rho_star, s_star = comp1, rho1, s1
     else:
-        value, rho_star, s_star = comp2, rho2, s2
+        value, rho_star, s_star = comp2, second.optimizer_rho, second.optimizer_s
 
     upper = None
     if flags & {"at_D_min", "at_R_min"}:
@@ -565,24 +523,9 @@ def forney_bound_exponent(q: Distribution, p: Channel, rate: float,
     margin error exponent) for nonnegative levels.
     """
     lnw, gap, lnq = _channel_parts(q, p, level)
-
-    def inner(rho: float):
-        if rho <= 1e-14:
-            return 0.0, 0.0
-
-        def f(s: float) -> float:
-            return _e0_eval(lnw, gap, lnq, rho, s)
-
-        res = unimodal_max_01(f, rel_tol=1e-10)
-        return res.value, res.x
-
-    def outer(rho: float) -> float:
-        return inner(rho)[0] - rho * rate
-
-    res = unimodal_max_01(outer)
-    value = max(res.value, 0.0)
-    rho_star = res.x if value > 0.0 else 0.0
-    return ExponentResult(value, rho_star, inner(rho_star)[1])
+    value, rho_star, s_star, _ = _slope_solve(
+        lambda rho: _tilt_max_01(lnw, gap, lnq, rho), rate)
+    return ExponentResult(value, rho_star, s_star)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +556,6 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
         witness = Distribution.point_mass(k, 0)
         return witness, evaluate(witness, p, rate, level)
 
-    from .optimize import maximize_over_simplex
-
     def f(vec: np.ndarray) -> float:
         return evaluate(Distribution(vec), p, rate, level).value
 
@@ -629,9 +570,6 @@ def capacity(p: Channel, denominator: int = 16, refinement_rounds: int = 48):
     Direct concave maximization of the mutual information over the input
     simplex; no alternating iteration is needed at these alphabet sizes.
     """
-    from .optimize import maximize_over_simplex
-    from .probability import mutual_information
-
     def f(vec: np.ndarray) -> float:
         return mutual_information(Distribution(vec), p)
 

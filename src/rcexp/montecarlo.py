@@ -91,17 +91,14 @@ class SimResult:
 
     def complement(self) -> "SimResult":
         """The same runs counted for the complementary event (same draws)."""
-        flipped = []
-        for row in self.per_n:
-            c = row.trials - row.count
-            lo, hi = wilson_interval(c, row.trials)
-            flipped.append(BlockLengthCount(row.n, row.trials, c, c / row.trials, lo, hi))
-        out = SimResult(tuple(flipped), event="not-" + self.event)
-        try:
-            slope, err = estimate_exponent(out)
-        except InsufficientData:
-            return out
-        return SimResult(out.per_n, out.event, slope, err)
+        flipped = tuple(_count_row(row.n, row.trials, row.trials - row.count)
+                        for row in self.per_n)
+        return _with_estimate(SimResult(flipped, event="not-" + self.event))
+
+
+def _count_row(n: int, trials: int, count: int, *count_no_tie) -> BlockLengthCount:
+    return BlockLengthCount(n, trials, count, count / trials,
+                            *wilson_interval(count, trials), *count_no_tie)
 
 
 def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple:
@@ -112,7 +109,11 @@ def wilson_interval(count: int, trials: int, z: float = 1.96) -> tuple:
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     margin = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return max(center - margin, 0.0), min(center + margin, 1.0)
+    # The endpoints are exactly 0 at count 0 and exactly 1 at count = trials,
+    # where center -/+ margin would round off them.
+    lo = 0.0 if count == 0 else max(center - margin, 0.0)
+    hi = 1.0 if count == trials else min(center + margin, 1.0)
+    return lo, hi
 
 
 def estimate_exponent(result: SimResult, z: float = 1.96) -> tuple:
@@ -156,19 +157,33 @@ def _block_sizes(cfg: SimConfig, per_trial_cells: int) -> int:
     return max(1, min(cfg.block_trials, budget))
 
 
-def _run_blocks(cfg: SimConfig, n: int, block_size: int, worker, threads: int):
-    n_blocks = (cfg.trials_per_n + block_size - 1) // block_size
+def _simulate(cfg: SimConfig, letters: int, worker, event: str, threads: int) -> SimResult:
+    """Event counts at every block length, one Wilson row each.
 
-    def job(b: int):
-        trials = min(block_size, cfg.trials_per_n - b * block_size)
-        return worker(_rng_for(cfg.master_seed, n, b), trials)
+    ``worker(rng, trials, n, words, shift, tol)`` returns the block's event
+    count, plus the strict count for the margin decoder.  ``words`` are the
+    scored codewords: all M for encoding, the M - 1 competitors for decoding.
+    """
+    rows = []
+    for n in cfg.block_lengths:
+        m_words = codebook_size(n, cfg.rate, cfg.experiment, cfg.codebook_cap)
+        words = m_words if cfg.experiment == "source-encode" else m_words - 1
+        block = _block_sizes(cfg, words * letters)
+        shift = n * cfg.distortion_level
+        tol = _EVENT_TOL * (1.0 + abs(shift))
 
-    if threads <= 1:
-        results = [job(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(n_blocks)))
-    return results
+        def job(b: int):
+            trials = min(block, cfg.trials_per_n - b * block)
+            return worker(_rng_for(cfg.master_seed, n, b), trials, n, words, shift, tol)
+
+        blocks = range((cfg.trials_per_n + block - 1) // block)
+        if threads <= 1:
+            results = [job(b) for b in blocks]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(job, blocks))
+        rows.append(_count_row(n, cfg.trials_per_n, *(sum(col) for col in zip(*results))))
+    return _with_estimate(SimResult(tuple(rows), event=event))
 
 
 def simulate_source(cfg: SimConfig, source: Distribution, codebook: Distribution,
@@ -181,30 +196,20 @@ def simulate_source(cfg: SimConfig, source: Distribution, codebook: Distribution
     """
     if source.alphabet_size != d.source_size or codebook.alphabet_size != d.reproduction_size:
         raise DimensionMismatch("model shapes are inconsistent")
-    rows = []
-    for n in cfg.block_lengths:
-        m_words = codebook_size(n, cfg.rate, cfg.experiment, cfg.codebook_cap)
-        block = _block_sizes(cfg, m_words * d.reproduction_size)
-        threshold = n * cfg.distortion_level
-        tol = _EVENT_TOL * (1.0 + abs(threshold))
 
-        def worker(rng: np.random.Generator, trials: int) -> int:
-            counts = rng.multinomial(n, source.probs, size=trials)
-            dist = np.zeros((trials, m_words))
-            for a in range(source.alphabet_size):
-                draws = rng.multinomial(counts[:, a][:, None], codebook.probs,
-                                        size=(trials, m_words))
-                dist += draws @ d.values[a]
-            return int((dist.min(axis=1) <= threshold + tol).sum())
+    def worker(rng, trials, n, words, threshold, tol):
+        counts = rng.multinomial(n, source.probs, size=trials)
+        dist = np.zeros((trials, words))
+        for a in range(source.alphabet_size):
+            draws = rng.multinomial(counts[:, a][:, None], codebook.probs,
+                                    size=(trials, words))
+            dist += draws @ d.values[a]
+        return (int((dist.min(axis=1) <= threshold + tol).sum()),)
 
-        total = sum(_run_blocks(cfg, n, block, worker, threads))
-        lo, hi = wilson_interval(total, cfg.trials_per_n)
-        rows.append(BlockLengthCount(n, cfg.trials_per_n, total,
-                                     total / cfg.trials_per_n, lo, hi))
-    return _with_estimate(SimResult(tuple(rows), event="encoding-success"))
+    return _simulate(cfg, d.reproduction_size, worker, "encoding-success", threads)
 
 
-def _channel_scores(rng: np.random.Generator, trials: int, n: int, m_words: int,
+def _channel_scores(rng: np.random.Generator, trials: int, n: int, competitors: int,
                     q: Distribution, p: Channel):
     """Transmitted log-likelihood and all competitor log-likelihoods.
 
@@ -217,10 +222,10 @@ def _channel_scores(rng: np.random.Generator, trials: int, n: int, m_words: int,
     counts = rng.multinomial(n, joint, size=trials)
     l_sent = counts @ lnp.reshape(-1)
     y_counts = counts.reshape(trials, q.alphabet_size, p.output_size).sum(axis=1)
-    l_comp = np.zeros((trials, m_words - 1))
+    l_comp = np.zeros((trials, competitors))
     for y in range(p.output_size):
         draws = rng.multinomial(y_counts[:, y][:, None], q.probs,
-                                size=(trials, m_words - 1))
+                                size=(trials, competitors))
         l_comp += draws @ lnp[:, y]
     return l_sent, l_comp
 
@@ -235,26 +240,13 @@ def simulate_channel_margin(cfg: SimConfig, q: Distribution, p: Channel,
     """
     if q.alphabet_size != p.input_size:
         raise DimensionMismatch("codebook does not match channel input")
-    rows = []
-    for n in cfg.block_lengths:
-        m_words = codebook_size(n, cfg.rate, cfg.experiment, cfg.codebook_cap)
-        block = _block_sizes(cfg, (m_words - 1) * q.alphabet_size)
-        shift = n * cfg.distortion_level
-        tol = _EVENT_TOL * (1.0 + abs(shift))
 
-        def worker(rng: np.random.Generator, trials: int):
-            l_sent, l_comp = _channel_scores(rng, trials, n, m_words, q, p)
-            gap = l_sent - l_comp.max(axis=1)
-            return int((gap <= shift + tol).sum()), int((gap < shift - tol).sum())
+    def worker(rng, trials, n, words, shift, tol):
+        l_sent, l_comp = _channel_scores(rng, trials, n, words, q, p)
+        gap = l_sent - l_comp.max(axis=1)
+        return int((gap <= shift + tol).sum()), int((gap < shift - tol).sum())
 
-        results = _run_blocks(cfg, n, block, worker, threads)
-        total = sum(r[0] for r in results)
-        total_strict = sum(r[1] for r in results)
-        lo, hi = wilson_interval(total, cfg.trials_per_n)
-        rows.append(BlockLengthCount(n, cfg.trials_per_n, total,
-                                     total / cfg.trials_per_n, lo, hi,
-                                     count_no_tie=total_strict))
-    return _with_estimate(SimResult(tuple(rows), event="margin-error"))
+    return _simulate(cfg, q.alphabet_size, worker, "margin-error", threads)
 
 
 def simulate_forney(cfg: SimConfig, q: Distribution, p: Channel,
@@ -267,23 +259,13 @@ def simulate_forney(cfg: SimConfig, q: Distribution, p: Channel,
     """
     if q.alphabet_size != p.input_size:
         raise DimensionMismatch("codebook does not match channel input")
-    rows = []
-    for n in cfg.block_lengths:
-        m_words = codebook_size(n, cfg.rate, cfg.experiment, cfg.codebook_cap)
-        block = _block_sizes(cfg, (m_words - 1) * q.alphabet_size)
-        shift = n * cfg.distortion_level
-        tol = _EVENT_TOL * (1.0 + abs(shift))
 
-        def worker(rng: np.random.Generator, trials: int) -> int:
-            l_sent, l_comp = _channel_scores(rng, trials, n, m_words, q, p)
-            gap = l_sent - logsumexp(l_comp, axis=1)
-            return int((gap < shift - tol).sum())
+    def worker(rng, trials, n, words, shift, tol):
+        l_sent, l_comp = _channel_scores(rng, trials, n, words, q, p)
+        gap = l_sent - logsumexp(l_comp, axis=1)
+        return (int((gap < shift - tol).sum()),)
 
-        total = sum(_run_blocks(cfg, n, block, worker, threads))
-        lo, hi = wilson_interval(total, cfg.trials_per_n)
-        rows.append(BlockLengthCount(n, cfg.trials_per_n, total,
-                                     total / cfg.trials_per_n, lo, hi))
-    return _with_estimate(SimResult(tuple(rows), event="forney-error"))
+    return _simulate(cfg, q.alphabet_size, worker, "forney-error", threads)
 
 
 def _with_estimate(result: SimResult) -> SimResult:
@@ -330,15 +312,21 @@ def enumerate_source_success(source: Distribution, codebook: Distribution,
     return total
 
 
-def enumerate_channel_margin(q: Distribution, p: Channel, n: int, m_words: int,
-                             level: float) -> tuple:
-    """Exact (tie-inclusive, strict) margin error probabilities by enumeration."""
+def _channel_enumeration(q: Distribution, p: Channel, n: int):
+    """Every input and output word, the input word probabilities and the
+    log-likelihood of every input word for every output word."""
     xs = _all_sequences(q.alphabet_size, n)
     ys = _all_sequences(p.output_size, n)
     qx = np.exp(_seq_log_probs(xs, q.probs))
     lnp = np.log(p.probs)
-    # log-likelihood of every candidate input sequence for every output word
     ll = np.array([[lnp[x_seq, y_seq].sum() for y_seq in ys] for x_seq in xs])
+    return xs, ys, qx, ll
+
+
+def enumerate_channel_margin(q: Distribution, p: Channel, n: int, m_words: int,
+                             level: float) -> tuple:
+    """Exact (tie-inclusive, strict) margin error probabilities by enumeration."""
+    xs, ys, qx, ll = _channel_enumeration(q, p, n)
     shift = n * level
     tol = _EVENT_TOL * (1.0 + abs(shift))
     p_tie = 0.0
@@ -367,11 +355,7 @@ def enumerate_forney_error(q: Distribution, p: Channel, n: int, m_words: int,
     n_comp = m_words - 1
     if n_comp > 2:
         raise DimensionMismatch("exact enumeration supports at most 2 competitors")
-    xs = _all_sequences(q.alphabet_size, n)
-    ys = _all_sequences(p.output_size, n)
-    qx = np.exp(_seq_log_probs(xs, q.probs))
-    lnp = np.log(p.probs)
-    ll = np.array([[lnp[x_seq, y_seq].sum() for y_seq in ys] for x_seq in xs])
+    xs, ys, qx, ll = _channel_enumeration(q, p, n)
     shift = n * level
     tol = _EVENT_TOL * (1.0 + abs(shift))
     total = 0.0

@@ -99,39 +99,38 @@ def unimodal_max_01(f, rel_tol: float = 1e-12, max_iter: int = 200) -> ScalarMax
     # evaluates them, so compare explicitly.
     y0, y1 = f(0.0), f(1.0)
     res.evaluations += 2
-    if y0 >= res.value and y0 >= y1:
-        return ScalarMax(0.0, y0, res.evaluations)
-    if y1 >= res.value:
-        return ScalarMax(1.0, y1, res.evaluations, at_upper=True)
-    return res
+    return _best_of_ends(res, y0, 1.0, y1)
 
 
 def unimodal_max_ray_reparam(f, cap: float, rel_tol: float = 1e-12,
                              max_iter: int = 240) -> ScalarMax:
-    """Maximize a unimodal ``f`` on [0, cap] via the map u -> u/(1-u)*scale.
+    """Maximize a unimodal ``f`` on [0, cap] via the map u -> u/(1-u).
 
     The substitution compresses [0, inf) onto [0, 1), so very large optimizers
     (steep-slope regimes) are reachable without geometric probing.  ``cap`` is
     enforced by limiting u.  Unimodality is preserved because the map is
     monotone.
     """
-    scale = 1.0
-    u_cap = cap / (scale + cap)
+    u_cap = cap / (1.0 + cap)
 
     def g(u: float) -> float:
-        return f(scale * u / (1.0 - u)) if u < 1.0 else f(cap)
+        return f(u / (1.0 - u)) if u < 1.0 else f(cap)
 
     res = golden_max(g, 0.0, u_cap, rel_tol, max_iter)
     y0 = f(0.0)
     y_cap = f(cap)
     res.evaluations += 2
-    best_x = scale * res.x / (1.0 - res.x)
-    best = ScalarMax(best_x, res.value, res.evaluations)
-    if y0 >= best.value and y0 >= y_cap:
+    return _best_of_ends(ScalarMax(res.x / (1.0 - res.x), res.value, res.evaluations),
+                         y0, cap, y_cap)
+
+
+def _best_of_ends(res: ScalarMax, y0: float, hi: float, y_hi: float) -> ScalarMax:
+    """``res`` or the endpoint 0 or ``hi`` (flagged at_upper), whichever is larger; ties go to 0."""
+    if y0 >= res.value and y0 >= y_hi:
         return ScalarMax(0.0, y0, res.evaluations)
-    if y_cap >= best.value:
-        return ScalarMax(cap, y_cap, res.evaluations, at_upper=True)
-    return best
+    if y_hi >= res.value:
+        return ScalarMax(hi, y_hi, res.evaluations, at_upper=True)
+    return res
 
 
 @dataclass
@@ -161,16 +160,26 @@ def maximize_over_simplex(f, dimension: int, denominator: int = 16,
         if val > best_val:
             best_val = val
             best = row
+    best, best_val, more = _exchange_refine(f, best, best_val, denominator,
+                                            refinement_rounds, sweeps_per_round)
+    return SimplexMax(best, best_val, evals + more)
+
+
+def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
+                     sweeps_per_round: int = 40):
+    """The mass-exchange rounds of maximize_over_simplex, from ``best`` with value
+    ``best_val``; returns the best point, its value and the evaluation count."""
     best = np.array(best)
+    evals = 0
     step = 1.0 / denominator
-    for _ in range(refinement_rounds):
+    for _ in range(rounds):
         step *= 0.5
         for _ in range(sweeps_per_round):
             improved = False
-            for i in range(dimension):
+            for i in range(best.size):
                 if best[i] < step:
                     continue
-                for j in range(dimension):
+                for j in range(best.size):
                     if i == j:
                         continue
                     cand = best.copy()
@@ -184,4 +193,4 @@ def maximize_over_simplex(f, dimension: int, denominator: int = 16,
                         improved = True
             if not improved:
                 break
-    return SimplexMax(best, best_val, evals)
+    return best, best_val, evals

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, RcexpError
+from .optimize import _exchange_refine
 from .probability import (
     Channel,
     Distribution,
@@ -27,7 +28,7 @@ from .probability import (
     simplex_grid_arrays,
     support_or_raise,
 )
-from .rates import channel_distortion, rate_function, rate_values_batch
+from .rates import _margin_gap, rate_function, rate_values_batch
 
 CONSTRAINT_SLACK = 1e-9
 _MAX_HALF_ENUM = 8_000_000
@@ -131,30 +132,13 @@ def rate_function_brute(t, q: Distribution, d: DistortionModel, level: float,
 
 
 def _refine_source_law(objective, t0: np.ndarray, denominator: int, rounds: int) -> float:
-    """Greedy mass-exchange refinement around a grid law; never worse than t0."""
-    best = np.array(t0)
-    best_val = objective(best)
-    step = 1.0 / denominator
-    k = best.size
-    for _ in range(rounds):
-        step *= 0.5
-        for _ in range(40):
-            improved = False
-            for i in range(k):
-                if best[i] < step:
-                    continue
-                for j in range(k):
-                    if i == j:
-                        continue
-                    cand = best.copy()
-                    cand[i] -= step
-                    cand[j] += step
-                    val = objective(cand)
-                    if val < best_val - 1e-15:
-                        best_val, best, improved = val, cand, True
-            if not improved:
-                break
-    return best_val
+    """Greedy mass-exchange refinement around a grid law; never worse than t0.
+
+    Maximizes the negated objective; negation keeps every comparison exact.
+    """
+    _, value, _ = _exchange_refine(lambda t: -objective(t), t0, -objective(t0),
+                                   denominator, rounds)
+    return -value
 
 
 def success_exponent_brute(source: Distribution, q: Distribution, d: DistortionModel,
@@ -214,16 +198,14 @@ def failure_exponent_brute(source: Distribution, q: Distribution, d: DistortionM
 
 
 def _channel_grid_parts(q: Distribution, p: Channel, grid: GridSpec):
-    """Joint grid over the supported (input, output) cells plus references."""
+    """Joint grid over the supported (input, output) cells, each law's divergence
+    from the joint law, and the distortion and codebook on the support."""
     sup = support_or_raise(q)
     ref = joint_from_input_and_channel(q, p).probs[sup].reshape(-1)
-    d_all = channel_distortion(p)
-    ny = p.output_size
-    row_idx = (sup[:, None] * ny + np.arange(ny)[None, :]).reshape(-1)
-    d_rows = d_all.values[np.ix_(row_idx, sup)]
+    d_rows, _ = _margin_gap(q, p, 0.0)
     q_sup = Distribution(q.probs[sup])
     t_grid = simplex_grid_arrays(ref.size, grid.denominator)
-    return t_grid, ref, DistortionModel(d_rows), q_sup
+    return t_grid, _kl_rows(t_grid, ref), DistortionModel(d_rows), q_sup
 
 
 def channel_exponent_brute(q: Distribution, p: Channel, rate: float, level: float,
@@ -237,8 +219,7 @@ def channel_exponent_brute(q: Distribution, p: Channel, rate: float, level: floa
     """
     if kind not in ("error", "correct"):
         raise DimensionMismatch("kind must be 'error' or 'correct'")
-    t_grid, ref, d_rows, q_sup = _channel_grid_parts(q, p, grid)
-    kl = _kl_rows(t_grid, ref)
+    t_grid, kl, d_rows, q_sup = _channel_grid_parts(q, p, grid)
     if kind == "error":
         rates = rate_values_batch(t_grid, q_sup, d_rows, level)
         vals = kl + np.maximum(rates - rate, 0.0)
@@ -258,11 +239,10 @@ def forney_components_brute(q: Distribution, p: Channel, rate: float, level: flo
     kernel rows.  Exponential in the number of (input, output) cells; intended
     for two-letter channels.
     """
-    t_grid, ref, d_rows, q_sup = _channel_grid_parts(q, p, grid)
-    kl = _kl_rows(t_grid, ref)
+    t_grid, kl, d_rows, q_sup = _channel_grid_parts(q, p, grid)
     order = np.argsort(kl, kind="stable")
 
-    n_cells = ref.size
+    n_cells = t_grid.shape[1]
     kl_row, _ = _kernel_row_tables(q_sup.probs, d_rows.values[0], grid.denominator)
     n_cand = kl_row.size
     if n_cand ** n_cells > 4_000_000:

@@ -55,7 +55,6 @@ class RateResult:
 
     value: float
     optimizer_s: float
-    converged: bool
     evaluations: int
     at_d_min: bool = False
 
@@ -125,7 +124,7 @@ def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray,
               s_cap: float = S_CAP, rel_tol: float = 1e-10):
     """sup over s >= 0 of -sum_x w(x) lse_xhat(lnq - s * dgap[x, :]).
 
-    Returns (value, s_star, evaluations, converged).  ``dgap`` already has the
+    Returns (value, s_star, evaluations).  ``dgap`` already has the
     distortion level subtracted.
     """
     active = weights > 0.0
@@ -134,16 +133,16 @@ def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray,
 
     slope_inf = float(np.dot(w, gap.min(axis=1)))
     if slope_inf > DIV_TOL:
-        return math.inf, math.inf, 0, True
+        return math.inf, math.inf, 0
     if slope_inf >= -DIV_TOL:
         # Terminal slope zero: the concave objective is nondecreasing, so the
         # supremum is the analytic limit at infinite tilt.
         limit = _tight_limit(weights, dgap, lnq)
-        return max(limit, 0.0), math.inf, 0, True
+        return max(limit, 0.0), math.inf, 0
 
     slope_zero = float(np.dot(w, np.exp(lnq) @ gap.T))
     if slope_zero <= 0.0:
-        return 0.0, 0.0, 1, True
+        return 0.0, 0.0, 1
 
     def g(s: float) -> float:
         return float(-np.dot(w, _lse_rows(lnq[None, :] - s * gap)))
@@ -159,8 +158,8 @@ def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray,
         limit = _feasible_limit(weights, dgap, lnq)
         if not math.isfinite(limit):
             limit = _tight_limit(weights, dgap, lnq)
-        return max(res.value, limit, 0.0), math.inf, res.evaluations, True
-    return max(res.value, 0.0), res.x, res.evaluations, True
+        return max(res.value, limit, 0.0), math.inf, res.evaluations
+    return max(res.value, 0.0), res.x, res.evaluations
 
 
 def rate_function(t, q: Distribution, d: DistortionModel, level: float,
@@ -179,8 +178,8 @@ def rate_function(t, q: Distribution, d: DistortionModel, level: float,
         raise DimensionMismatch("codebook does not match distortion columns")
     dsub, lnq = _restrict(q, d)
     dmin_restricted = float(dsub[weights > 0.0].min()) if np.any(weights > 0.0) else 0.0
-    value, s_star, evals, conv = _sup_dual(weights, dsub - level, lnq, s_cap=s_cap)
-    return RateResult(value, s_star, conv, evals,
+    value, s_star, evals = _sup_dual(weights, dsub - level, lnq, s_cap=s_cap)
+    return RateResult(value, s_star, evals,
                       at_d_min=abs(level - dmin_restricted) <= 1e-12)
 
 
@@ -288,7 +287,7 @@ def coupled_rate_function(t: JointDistribution, q: Distribution,
 
     g_one = big_g(1.0)
     if g_one > DIV_TOL:
-        return RateResult(math.inf, math.inf, True, 1)
+        return RateResult(math.inf, math.inf, 1)
 
     def phi(sigma: float) -> float:
         return big_g(sigma) / (1.0 - sigma)
@@ -299,7 +298,7 @@ def coupled_rate_function(t: JointDistribution, q: Distribution,
     mu = sigma / (1.0 - sigma)
     if value == 0.0:
         mu = 0.0
-    return RateResult(value, mu, True, res.evaluations + 1)
+    return RateResult(value, mu, res.evaluations + 1)
 
 
 def max_rate_over_sources(q: Distribution, d: DistortionModel, level: float) -> float:
@@ -313,7 +312,7 @@ def max_rate_over_sources(q: Distribution, d: DistortionModel, level: float) -> 
     best = 0.0
     for x in range(dsub.shape[0]):
         w = np.array([1.0])
-        value, _, _, _ = _sup_dual(w, (dsub[x] - level)[None, :], lnq)
+        value, _, _ = _sup_dual(w, (dsub[x] - level)[None, :], lnq)
         if value > best:
             best = value
         if math.isinf(best):
@@ -332,11 +331,16 @@ def min_distortion_for_codebook(q: Distribution, p: Channel) -> float:
     Zero for every point-mass codebook; strictly negative whenever the support
     contains two inputs the channel can tell apart.
     """
+    _, lnp = _input_logs(q, p)
+    return float((lnp.min(axis=0) - lnp.max(axis=0)).min())
+
+
+def _input_logs(q: Distribution, p: Channel):
+    """Log codebook masses and log channel rows (|S|, Y) on the codebook support."""
     if q.alphabet_size != p.input_size:
         raise DimensionMismatch("codebook does not match channel input")
     sup = support_or_raise(q)
-    lnp = np.log(p.probs[sup])  # (|S|, Y)
-    return float((lnp.min(axis=0) - lnp.max(axis=0)).min())
+    return np.log(q.probs[sup]), np.log(p.probs[sup])
 
 
 def _margin_gap(q: Distribution, p: Channel, level: float):
@@ -345,11 +349,9 @@ def _margin_gap(q: Distribution, p: Channel, level: float):
     Rows are the supported (x, y) pairs, columns the supported competitors:
     gap[(x,y), xhat] = ln p(y|x) - ln p(y|xhat) - level.
     """
-    sup = support_or_raise(q)
-    lnq = np.log(q.probs[sup])
-    lnp = np.log(p.probs)
-    gap = lnp[sup][:, :, None] - lnp[sup].T[None, :, :] - level  # (S, Y, S)
-    return gap.reshape(sup.size * p.output_size, sup.size), lnq
+    lnq, lnp = _input_logs(q, p)
+    gap = lnp[:, :, None] - lnp.T[None, :, :] - level  # (S, Y, S)
+    return gap.reshape(lnq.size * p.output_size, lnq.size), lnq
 
 
 def finiteness_boundary(q: Distribution, p: Channel, level: float) -> float:
@@ -378,9 +380,6 @@ def min_rate_boundary(q: Distribution, p: Channel, level: float,
     above by max{0, -level} for every codebook, with equality for point
     masses.
     """
-    if q.alphabet_size != p.input_size:
-        raise DimensionMismatch("codebook does not match channel input")
-
     def min_coupled(delta: float) -> float:
         gap, lnq = _margin_gap(q, p, delta)
 

@@ -242,3 +242,54 @@ def test_simulate_compare_zero_exponent_regime(tmp_path, capsys):
     assert summary["engine_exponent"] == 0.0
     rows = out_path.read_text().strip().splitlines()[1:]
     assert all(float(r.split(",")[3]) > 0.95 for r in rows)
+
+
+def test_oracle_audit_gallager_error_runs_oracle_at_level_zero(capsys):
+    # The collapsed exponent has no level, so its oracle must not take --D.
+    oracles = []
+    for level in ("0.1", "0"):
+        code, out, _ = run_cli(capsys, "oracle-audit", fig_path("fig1.json"),
+                               "--kind", "gallager-error", "--R", "0.05", "--D", level,
+                               "--grid", "16")
+        assert code == 0
+        oracles.append(json.loads(out)["oracle"])
+    assert oracles[0] == oracles[1]
+
+
+def test_zero_exponent_prints_positive_zero(capsys):
+    # The outer objective at rho = 0 can be -0.0; the clamp must print 0.0.
+    for kind, rate in (("gallager-error", "0.5"), ("correct", "-0.1")):
+        code, out, _ = run_cli(capsys, "compute", fig_path("fig1.json"),
+                               "--kind", kind, "--R", rate)
+        assert code == 0
+        assert '"value": 0.0,' in out
+
+
+def _assert_same_output(got, want, where):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_same_output(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_output(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12), where
+    else:
+        assert got == want and type(got) is type(want), where
+
+
+def test_cli_golden_outputs(capsys):
+    # Stdout of one call per compute kind, maximize-q kind, an oracle audit
+    # and capacity on fig1, recorded from the CLI; "fig1.json" in each argv
+    # stands for the shipped figure model.
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
+    with open(path, encoding="utf-8") as handle:
+        records = json.load(handle)
+    for record in records:
+        argv = [fig_path(a) if a == "fig1.json" else a for a in record["argv"]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _assert_same_output(json.loads(out), json.loads(record["stdout"]),
+                            " ".join(record["argv"]))

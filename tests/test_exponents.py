@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import binary_entropy_nats, random_channel, random_distribution, random_distortion
 from rcexp.probability import (
@@ -11,7 +13,7 @@ from rcexp.probability import (
     joint_from_input_and_channel,
     mutual_information,
 )
-from rcexp.rates import channel_distortion, rate_function
+from rcexp.rates import channel_distortion, min_distortion_for_codebook, rate_function
 from rcexp.exponents import (
     capacity,
     correct_envelope,
@@ -234,6 +236,32 @@ def test_duality_success_vs_margin_error(rng):
                 assert math.isinf(a) and math.isinf(b)
             else:
                 assert a == pytest.approx(b, abs=1e-9)
+
+
+_WEIGHT = st.floats(min_value=0.05, max_value=1.0)
+
+
+@st.composite
+def _channel_models(draw):
+    """A full-support codebook on two inputs and a 2x2 or 2x3 channel."""
+    ny = draw(st.sampled_from((2, 3)))
+    rows = np.array(draw(st.lists(_WEIGHT, min_size=2 * ny, max_size=2 * ny))).reshape(2, ny)
+    q = np.array(draw(st.lists(_WEIGHT, min_size=2, max_size=2)))
+    return Distribution(q / q.sum()), Channel(rows / rows.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(model=_channel_models(), eps=st.floats(0.0, 1e-6), rate=st.floats(0.0, 0.3))
+def test_duality_values_and_flags_near_d_min(model, eps, rate):
+    # The two readings of one exponent must agree in value and in flags,
+    # also within the at_D_min tolerance of the minimal distortion.
+    q, p = model
+    level = min_distortion_for_codebook(q, p) + eps
+    joint = joint_from_input_and_channel(q, p).flattened()
+    a = success_exponent(joint, q, channel_distortion(p), level, rate)
+    b = margin_error_exponent(q, p, rate, level)
+    assert a.value == pytest.approx(b.value, abs=1e-9)
+    assert a.boundary_flags == b.boundary_flags
 
 
 def test_duality_failure_vs_correct_envelope(rng):

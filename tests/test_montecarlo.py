@@ -166,6 +166,10 @@ def test_wilson_interval_properties():
     assert hi <= 1.0 and lo < 1.0
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
+    # The endpoints are exact: 0 at count 0 and 1 at count = trials.
+    for n in range(1, 5001):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
 
 
 def _result_from_probs(ns, probs, trials=10 ** 6):
