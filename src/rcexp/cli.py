@@ -2,8 +2,9 @@
 
 Subcommands: compute, curve, simulate, maximize-q, capacity, oracle-audit.
 Data goes to standard output (or ``--out``); diagnostics go to standard
-error.  Exit codes: 0 success, 2 model-spec parse/validation failure,
-3 dimension mismatch, 4 unwritable output, 5 codebook too large.
+error.  Exit codes: 0 success, 2 model-spec parse/validation failure or an
+invalid argument (checked before any work), 3 dimension mismatch,
+4 unwritable output, 5 codebook too large.
 
 Infinite values serialize as the literal ``inf`` in CSV cells and as the
 string ``"inf"`` in JSON (model specs themselves reject non-finite literals).
@@ -126,12 +127,8 @@ def _evaluate(spec: ModelSpec, kind: str, rate: float, level: float,
 def _oracle_value(spec: ModelSpec, kind: str, rate: float, level: float, m: int,
                   engine: float) -> tuple:
     """The brute-force value at grid denominator m, and its gap to ``engine`` (0 if both inf)."""
-    grid = GridSpec(m)
     fields, _, oracle = _KINDS[kind]
-    models = _models(spec, fields)
-    if oracle is None:
-        raise DimensionMismatch(f"no brute-force oracle for kind {kind!r}")
-    brute = oracle(models, rate, level, grid)
+    brute = oracle(_models(spec, fields), rate, level, GridSpec(m))
     return brute, 0.0 if math.isinf(brute) and math.isinf(engine) else abs(brute - engine)
 
 
@@ -164,6 +161,29 @@ class _OutputError(RcexpError):
     pass
 
 
+def _positive(parse):
+    """An argparse type: ``parse`` the text and reject values below one."""
+
+    def convert(text: str) -> int:
+        try:
+            value = parse(text)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+        return value
+
+    return convert
+
+
+_COUNT = _positive(int)
+_TRIALS = _positive(lambda text: int(float(text)))
+
+
+def _block_lengths(text: str) -> tuple:
+    return tuple(_COUNT(v) for v in text.split(","))
+
+
 def _parse_levels(args, spec: ModelSpec):
     if args.levels_from_spec:
         if spec.d_scale_values is None:
@@ -193,7 +213,7 @@ def cmd_compute(args) -> int:
     res = _evaluate(spec, args.kind, args.rate, level, args.rho_cap)
     payload = {"kind": args.kind, "R": args.rate, "D": level}
     payload.update(_result_payload(res))
-    if args.oracle:
+    if args.oracle is not None:
         brute, gap = _oracle_value(spec, args.kind, args.rate, level, args.oracle, res.value)
         payload["oracle_value"] = _fmt(brute)
         payload["oracle_gap"] = _fmt(gap)
@@ -254,10 +274,10 @@ def cmd_simulate(args) -> int:
     spec = load_model(args.model)
     level = spec.resolve_level(args.level_value, args.scaled)
     cfg = SimConfig(
-        block_lengths=tuple(int(v) for v in args.n.split(",")),
+        block_lengths=args.n,
         rate=args.rate,
         distortion_level=level,
-        trials_per_n=int(float(args.trials)),
+        trials_per_n=args.trials,
         master_seed=args.seed,
         experiment=args.experiment,
         codebook_cap=args.codebook_cap,
@@ -353,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", dest="rate", type=float, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--rho-cap", dest="rho_cap", type=float, default=None)
-    sp.add_argument("--oracle", type=int, default=None, metavar="M",
+    sp.add_argument("--oracle", type=_COUNT, default=None, metavar="M",
                     help="add the brute-force value at grid denominator M")
     sp.add_argument("--inner-scan-rho", type=float, default=None,
                     help="scan the failure inner objective at this slope")
@@ -377,10 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("simulate", help="Monte-Carlo random-coding experiment")
     sp.add_argument("model")
     sp.add_argument("--experiment", choices=tuple(_EXPERIMENTS), required=True)
-    sp.add_argument("--n", required=True, help="comma list of block lengths")
+    sp.add_argument("--n", type=_block_lengths, required=True,
+                    help="comma list of block lengths")
     sp.add_argument("--rate", type=float, required=True)
     _add_level_args(sp)
-    sp.add_argument("--trials", default="10000")
+    sp.add_argument("--trials", type=_TRIALS, default="10000")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--codebook-cap", type=int, default=2 ** 20)
@@ -394,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=tuple(_CHANNEL_KINDS), default="error-extended")
     sp.add_argument("--R", dest="rate", type=float, default=0.0)
     _add_level_args(sp)
-    sp.add_argument("--grid", type=int, default=16)
+    sp.add_argument("--grid", type=_COUNT, default=16)
     sp.add_argument("--refine", type=int, default=3)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_maximize_q)
@@ -410,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             if oracle is not None), required=True)
     sp.add_argument("--R", dest="rate", type=float, default=0.0)
     _add_level_args(sp)
-    sp.add_argument("--grid", type=int, default=24)
+    sp.add_argument("--grid", type=_COUNT, default=24)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_oracle_audit)
 
@@ -420,6 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "oracle", None) is not None and _KINDS[args.kind][2] is None:
+        parser.error(f"argument --oracle: kind {args.kind!r} has no brute-force oracle")
     try:
         return args.func(args)
     except ModelSpecError as exc:

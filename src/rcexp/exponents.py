@@ -88,10 +88,13 @@ def _ln_bracket(lnq: np.ndarray, gap: np.ndarray, s: float) -> np.ndarray:
     return _lse_rows(lnq[None, :] - s * gap)
 
 
-def _e0_eval(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray,
-             rho: float, s: float) -> float:
-    """-ln sum_x w(x) bracket_x(s)^rho, all in log space."""
-    return -_lse_flat(lnw + rho * _lse_rows(lnq[None, :] - s * gap))
+def _e0_many(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray,
+             rho: float, s: np.ndarray) -> np.ndarray:
+    """-ln sum_x w(x) bracket_x(s)^rho at every tilt in ``s``, all in log space.
+
+    Each entry has the bits of the same formula evaluated at its tilt alone.
+    """
+    return -_lse_rows(lnw + rho * _lse_rows(lnq - s[:, None, None] * gap))
 
 
 def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
@@ -127,7 +130,8 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     # A finite maximizer exists, but its scale grows like 1/rho when some
     # rows lie strictly inside the distortion level and others outside, so
     # the bracket must be allowed to run very far before giving up.
-    res = concave_max_on_ray(lambda s: _e0_eval(lnw, gap, lnq, rho, s), max(s_cap, S_CAP_HARD))
+    res = concave_max_on_ray(lambda s: _e0_many(lnw, gap, lnq, rho, s),
+                             max(s_cap, S_CAP_HARD), vectorized=True)
     if res.at_upper:
         return max(res.value, _mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
     return max(res.value, 0.0), res.x
@@ -162,8 +166,8 @@ def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
         j = i
         while j + 1 < len(grid) - 1 and is_min[j + 1]:
             j += 1
-        res = golden_max(lambda s: -_e0_eval(lnw, gap, lnq, -rho, s), grid[i - 1], grid[j + 1],
-                         rel_tol=1e-12)
+        res = golden_max(lambda s: -_e0_many(lnw, gap, lnq, -rho, s), grid[i - 1], grid[j + 1],
+                         rel_tol=1e-12, vectorized=True)
         if -res.value < best_val:
             best_val, best_s = -res.value, res.x
         i = j + 2
@@ -249,7 +253,8 @@ def _tilt_max_01(lnw, gap, lnq, rho: float):
     """sup over s in [0, 1] of e0(s, rho): the bounded-tilt inner problem."""
     if rho <= 1e-14:
         return 0.0, 0.0
-    res = unimodal_max_01(lambda s: _e0_eval(lnw, gap, lnq, rho, s), rel_tol=1e-10)
+    res = unimodal_max_01(lambda s: _e0_many(lnw, gap, lnq, rho, s), rel_tol=1e-10,
+                          vectorized=True)
     return res.value, res.x
 
 
@@ -429,15 +434,14 @@ def refine_inner_minima(source: Distribution, codebook: Distribution,
     s_grid = np.asarray(s_grid, dtype=float)
     vals = failure_inner_curve(source, codebook, d, level, rho, s_grid)
 
-    def f(s: float) -> float:
-        return float(failure_inner_curve(source, codebook, d, level, rho,
-                                         np.array([s]))[0])
+    def neg_curve(s: np.ndarray) -> np.ndarray:
+        return -failure_inner_curve(source, codebook, d, level, rho, s)
 
     found = []
     for i in range(1, len(s_grid) - 1):
         if vals[i] <= vals[i - 1] + _TIE_TOL and vals[i] <= vals[i + 1] + _TIE_TOL:
-            res = golden_max(lambda s: -f(s), s_grid[i - 1], s_grid[i + 1],
-                             rel_tol=1e-13, max_iter=240)
+            res = golden_max(neg_curve, s_grid[i - 1], s_grid[i + 1],
+                             rel_tol=1e-13, max_iter=240, vectorized=True)
             found.append((res.x, -res.value))
     found.sort()
     merged = []

@@ -4,6 +4,22 @@ Every solver here assumes the objective is unimodal on its interval (all the
 outer objectives in this package are concave, or become unimodal after a
 monotone reparametrization).  Solvers count objective evaluations so callers
 can report solver effort.
+
+The one-dimensional solvers take a scalar objective or, with
+``vectorized=True``, one that maps an array of points to an array of values.
+Both take the same speculative walk.  Golden section makes one new
+evaluation per step, and where it lands depends only on which way the
+previous comparison went; the bracket width shrinks by 1/phi on every step
+either way, so the number of steps is known in advance.  The walk evaluates
+the 2**k - 1 points the next k steps can reach in one call, then follows the
+path the comparisons actually take.  A vectorized objective walks
+``SPEC_DEPTH`` steps per call; a scalar one walks one, which is plain golden
+section.  The doubling probes of ``concave_max_on_ray`` go 2**k - 1 to a
+call, and the endpoints of ``unimodal_max_01`` go with the first golden pair.
+``evaluations`` counts the points the search consumed, not the points the
+objective computed, so it does not depend on the depth.  Neither do ``x``
+and ``value``, to the last bit, when the vectorized objective returns the
+bits the scalar one would.
 """
 
 from __future__ import annotations
@@ -17,6 +33,9 @@ from .probability import simplex_grid_arrays
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Golden-section steps per call of a vectorized objective; its doubling
+# probes go 2**SPEC_DEPTH - 1 to a call.
+SPEC_DEPTH = 4
 
 
 @dataclass
@@ -27,41 +46,83 @@ class ScalarMax:
     at_upper: bool = False
 
 
-def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
-               max_iter: int = 200) -> ScalarMax:
-    """Golden-section maximization of a unimodal ``f`` on [lo, hi]."""
-    evals = 0
+def _batched(f, vectorized: bool):
+    """``f`` as a map from a list of points to a list of values, and its walk depth."""
+    if vectorized:
+        return (lambda xs: f(np.array(xs)).tolist()), SPEC_DEPTH
+    return (lambda xs: list(map(f, xs))), 1
+
+
+def _golden_step(a: float, h: float, c: float, d: float, left: bool):
+    """One golden-section step on [a, a + h] with interior points c < d.
+
+    ``left`` (f(c) > f(d)) keeps [a, d]: d becomes c and a new c is placed.
+    Otherwise [c, a + h] is kept: c becomes d and a new d is placed.  Returns
+    the new (a, h, c, d, left); the new point is c when ``left``, else d.
+    """
+    h = _INV_PHI * h
+    if left:
+        return a, h, a + _INV_PHI2 * h, c, True
+    return c, h, d, c + _INV_PHI * h, False
+
+
+def _golden(many, depth: int, lo: float, hi: float, rel_tol: float, max_iter: int,
+            extra: tuple = ()):
+    """Golden section of the list objective ``many`` on [lo, hi], ``depth``
+    steps per call.  The points ``extra`` are evaluated with the first pair;
+    returns the ScalarMax and their values."""
     a, b = float(lo), float(hi)
     h = b - a
     tol = rel_tol * max(1.0, abs(a), abs(b))
     if h <= tol:
         x = 0.5 * (a + b)
-        return ScalarMax(x, f(x), 1)
+        ys = many([x, *extra])
+        return ScalarMax(x, ys[0], 1), ys[1:]
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    evals += 2
-    for _ in range(max_iter):
-        if h <= tol:
-            break
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = _INV_PHI * h
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = _INV_PHI * h
-            d = a + _INV_PHI * h
-            yd = f(d)
-        evals += 1
+    ys = many([c, d, *extra])
+    yc, yd, extra_ys = ys[0], ys[1], ys[2:]
+    # The width shrinks by 1/phi per step whatever f does, so the number of
+    # steps is known before any is taken.
+    steps, width = 0, h
+    while steps < max_iter and not width <= tol:
+        width = _INV_PHI * width
+        steps += 1
+    left = yc > yd
+    todo = steps
+    while todo:
+        k = min(depth, todo)
+        todo -= k
+        # Every bracket the next k steps can reach, level by level: node i is
+        # followed by node 2i + 1 when f(c) > f(d) there, else by 2i + 2.
+        nodes = level = [_golden_step(a, h, c, d, left)]
+        for _ in range(1, k):
+            level = [_golden_step(na, nh, nc, nd, side)
+                     for na, nh, nc, nd, _ in level for side in (True, False)]
+            nodes += level
+        ys = many([nc if nleft else nd for _, _, nc, nd, nleft in nodes])
+        i = 0
+        while i < len(nodes):
+            a, h, c, d, left = nodes[i]
+            if left:
+                yc, yd = ys[i], yc
+            else:
+                yc, yd = yd, ys[i]
+            left = yc > yd
+            i = 2 * i + (1 if left else 2)
     if yc > yd:
-        return ScalarMax(c, yc, evals)
-    return ScalarMax(d, yd, evals)
+        return ScalarMax(c, yc, 2 + steps), extra_ys
+    return ScalarMax(d, yd, 2 + steps), extra_ys
+
+
+def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
+               max_iter: int = 200, vectorized: bool = False) -> ScalarMax:
+    """Golden-section maximization of a unimodal ``f`` on [lo, hi]."""
+    return _golden(*_batched(f, vectorized), lo, hi, rel_tol, max_iter)[0]
 
 
 def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
-                       max_iter: int = 200) -> ScalarMax:
+                       max_iter: int = 200, vectorized: bool = False) -> ScalarMax:
     """Maximize a concave ``f`` on [0, cap] by doubling bracket + golden section.
 
     Probes 0, 1, 2, 4, ... until the objective stops increasing, then refines
@@ -69,35 +130,38 @@ def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
     cap, returns the cap point with ``at_upper`` set; the caller decides what
     the limit means.
     """
-    evals = 2
-    prev_x, prev_y = 0.0, f(0.0)
-    x, y = 1.0, f(1.0)
-    if y <= prev_y:
-        res = golden_max(f, 0.0, 1.0, rel_tol, max_iter)
-        res.evaluations += evals
-        if res.value < prev_y:
-            return ScalarMax(0.0, prev_y, res.evaluations)
+    many, depth = _batched(f, vectorized)
+    probes = [0.0, 1.0]
+    while probes[-1] < cap:
+        probes.append(min(2.0 * probes[-1], cap))
+    chunk = 2 ** depth - 1
+    values = (y for i in range(0, len(probes), chunk) for y in many(probes[i:i + chunk]))
+    y0, y = next(values), next(values)
+    if y <= y0:
+        res = _golden(many, depth, 0.0, 1.0, rel_tol, max_iter)[0]
+        res.evaluations += 2
+        if res.value < y0:
+            return ScalarMax(0.0, y0, res.evaluations)
         return res
-    lo = 0.0
-    while x < cap:
-        nxt = min(2.0 * x, cap)
-        ny = f(nxt)
-        evals += 1
+    for j in range(2, len(probes)):
+        ny = next(values)
         if ny <= y:
-            res = golden_max(f, lo, nxt, rel_tol, max_iter)
-            res.evaluations += evals
+            # Concavity puts the maximum in [probes[j - 2], probes[j]]; the
+            # bracket starts one probe further back.
+            res = _golden(many, depth, probes[max(j - 3, 0)], probes[j], rel_tol, max_iter)[0]
+            res.evaluations += j + 1
             return res
-        lo, prev_x, prev_y = prev_x, x, y
-        x, y = nxt, ny
-    return ScalarMax(cap, y, evals, at_upper=True)
+        y = ny
+    return ScalarMax(cap, y, len(probes), at_upper=True)
 
 
-def unimodal_max_01(f, rel_tol: float = 1e-12, max_iter: int = 200) -> ScalarMax:
+def unimodal_max_01(f, rel_tol: float = 1e-12, max_iter: int = 200,
+                    vectorized: bool = False) -> ScalarMax:
     """Golden-section maximization on the closed unit interval."""
-    res = golden_max(f, 0.0, 1.0, rel_tol, max_iter)
     # The maximum may sit exactly at an endpoint; golden section never
     # evaluates them, so compare explicitly.
-    y0, y1 = f(0.0), f(1.0)
+    res, (y0, y1) = _golden(*_batched(f, vectorized), 0.0, 1.0, rel_tol, max_iter,
+                            extra=(0.0, 1.0))
     res.evaluations += 2
     return _best_of_ends(res, y0, 1.0, y1)
 

@@ -72,9 +72,13 @@ def channel_distortion(p: Channel) -> DistortionModel:
 
 
 def _lse_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp without scipy's dispatch overhead."""
-    m = a.max(axis=1)
-    return np.log(np.exp(a - m[:, None]).sum(axis=1)) + m
+    """Log-sum-exp over the last axis without scipy's dispatch overhead.
+
+    Each row gets the same bits whatever the leading shape, so a batch of
+    arrays reduces exactly like its members one at a time.
+    """
+    m = a.max(axis=-1)
+    return np.log(np.exp(a - m[..., None]).sum(axis=-1)) + m
 
 
 def _weights_of(t) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fig_path
+from rcexp import cli
 from rcexp.cli import main
 from rcexp.modelspec import dump_model, load_model, parse_model
 
@@ -80,6 +81,50 @@ def test_codebook_too_large_exit_code(capsys):
                            "--experiment", "source-encode", "--n", "200",
                            "--rate", "0.5", "--trials", "10", "--D", "0")
     assert code == 5
+
+
+def _argument_error(capsys, *argv) -> str:
+    """Run a call that must fail argument checks; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+def test_oracle_on_kind_without_oracle_fails_before_any_work(capsys, monkeypatch):
+    def no_engine(*args):
+        raise AssertionError("the engine ran before the argument check")
+
+    monkeypatch.setattr(cli, "_evaluate", no_engine)
+    for kind in ("forney-tradeoff", "e-bound", "correct-extended-envelope"):
+        err = _argument_error(capsys, "compute", fig_path("fig1.json"), "--kind", kind,
+                              "--oracle", "8")
+        assert "no brute-force oracle" in err
+
+
+def test_nonpositive_oracle_grid_is_an_argument_error(capsys):
+    for value in ("-1", "0"):
+        err = _argument_error(capsys, "compute", fig_path("fig1.json"), "--oracle", value)
+        assert "--oracle" in err
+
+
+def test_zero_trials_is_an_argument_error(capsys):
+    err = _argument_error(capsys, "simulate", fig_path("fig1.json"),
+                          "--experiment", "source-encode", "--n", "8",
+                          "--rate", "0.1", "--trials", "0")
+    assert "--trials" in err
+
+
+def test_nonpositive_grids_and_block_lengths_are_argument_errors(capsys):
+    fig1 = fig_path("fig1.json")
+    for argv, flag in (
+        (["oracle-audit", fig1, "--kind", "success", "--grid", "0"], "--grid"),
+        (["maximize-q", fig1, "--grid", "-2"], "--grid"),
+        (["simulate", fig1, "--experiment", "forney", "--n", "8,0", "--rate", "0.1"], "--n"),
+        (["simulate", fig1, "--experiment", "forney", "--n", "8", "--rate", "0.1",
+          "--trials", "inf"], "--trials"),
+    ):
+        assert flag in _argument_error(capsys, *argv)
 
 
 def test_dump_spec_roundtrip(tmp_path, capsys):
@@ -280,16 +325,32 @@ def _assert_same_output(got, want, where):
         assert got == want and type(got) is type(want), where
 
 
+def _parse_output(text: str):
+    """JSON stdout as is; CSV stdout as rows of cells, numbers as floats."""
+    if text.startswith("{"):
+        return json.loads(text)
+
+    def cell(value: str):
+        try:
+            return value if value == "inf" else float(value)
+        except ValueError:
+            return value
+
+    return [[cell(v) for v in line.split(",")] for line in text.splitlines()]
+
+
 def test_cli_golden_outputs(capsys):
     # Stdout of one call per compute kind, maximize-q kind, an oracle audit
-    # and capacity on fig1, recorded from the CLI; "fig1.json" in each argv
-    # stands for the shipped figure model.
+    # and capacity on fig1, then curves on fig2 and fig3, negative levels,
+    # rates past r_max, an inner scan and refined codebook searches, recorded
+    # from the CLI; "figN.json" in each argv stands for the shipped model.
     path = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
     with open(path, encoding="utf-8") as handle:
         records = json.load(handle)
+    figures = ("fig1.json", "fig2.json", "fig3.json")
     for record in records:
-        argv = [fig_path(a) if a == "fig1.json" else a for a in record["argv"]]
+        argv = [fig_path(a) if a in figures else a for a in record["argv"]]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        _assert_same_output(json.loads(out), json.loads(record["stdout"]),
+        _assert_same_output(_parse_output(out), _parse_output(record["stdout"]),
                             " ".join(record["argv"]))
