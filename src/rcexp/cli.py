@@ -184,24 +184,35 @@ def _block_lengths(text: str) -> tuple:
     return tuple(_COUNT(v) for v in text.split(","))
 
 
+def _number(text: str) -> float:
+    """An argparse type: one float."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+
+
+def _numbers(text: str) -> list:
+    """An argparse type: a comma list of floats."""
+    return [_number(v) for v in text.split(",")]
+
+
+def _rate_grid(text: str) -> np.ndarray:
+    """An argparse type: a comma list of rates, or start:stop:count."""
+    if ":" not in text:
+        return np.array(_numbers(text))
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:count: {text!r}")
+    return np.linspace(_number(parts[0]), _number(parts[1]), _COUNT(parts[2]))
+
+
 def _parse_levels(args, spec: ModelSpec):
     if args.levels_from_spec:
         if spec.d_scale_values is None:
             raise ModelSpecError("model spec carries no d_scale_values")
         return [spec.resolve_level(v, scaled=True) for v in spec.d_scale_values]
-    values = [float(v) for v in args.level.split(",")]
-    return [spec.resolve_level(v, scaled=args.scaled) for v in values]
-
-
-def _parse_rates(text: str):
-    if ":" in text:
-        start, stop, count = text.split(":")
-        rates = np.linspace(float(start), float(stop), int(count))
-    else:
-        rates = np.array([float(v) for v in text.split(",")])
-    if rates.size > 1 and np.any(np.diff(rates) <= 0.0):
-        raise ModelSpecError("rate grid must be strictly increasing")
-    return rates
+    return [spec.resolve_level(v, scaled=args.scaled) for v in args.level]
 
 
 def cmd_compute(args) -> int:
@@ -230,7 +241,9 @@ def cmd_compute(args) -> int:
 
 def cmd_curve(args) -> int:
     spec = load_model(args.model)
-    rates = _parse_rates(args.rates)
+    rates = args.rates
+    if rates.size > 1 and np.any(np.diff(rates) <= 0.0):
+        raise ModelSpecError("rate grid must be strictly increasing")
     levels = _parse_levels(args, spec)
     lines = ["kind,R,D,value,rho_star,s_star,flags"]
     for level in levels:
@@ -384,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("curve", help="sweep rates and levels to CSV")
     sp.add_argument("model")
     sp.add_argument("--kind", choices=tuple(_KINDS), required=True)
-    sp.add_argument("--rates", required=True, help="comma list or start:stop:count")
-    sp.add_argument("--D", dest="level", default="0.0",
+    sp.add_argument("--rates", type=_rate_grid, required=True,
+                    help="comma list or start:stop:count (count at least 1)")
+    sp.add_argument("--D", dest="level", type=_numbers, default="0.0",
                     help="comma list of distortion levels")
     sp.add_argument("--scaled", action="store_true")
     sp.add_argument("--levels-from-spec", action="store_true",

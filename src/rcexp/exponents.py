@@ -5,7 +5,9 @@ an outer concave problem in a slope variable ``rho`` and an inner problem in
 a tilt variable ``s``.  For success/error-type exponents the inner objective
 is concave in ``s``; for failure/correct-envelope exponents the inner
 landscape can have several local minima, so it is scanned on a dense
-logarithmic grid before local refinement.
+logarithmic grid before local refinement.  The part of that scan that does
+not depend on ``rho`` is computed once per envelope call and shared by all
+of its outer probes.
 
 Channel exponents reduce to the source-side machinery through the
 log-likelihood-ratio distortion; both sides share the same inner solvers.
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch
 from .optimize import (
@@ -29,7 +30,7 @@ from .optimize import (
 )
 from .probability import Channel, Distribution, DistortionModel, mutual_information
 from .rates import DIV_TOL, S_CAP, S_CAP_HARD, finiteness_boundary
-from .rates import _input_logs, _lse_rows, _margin_gap, _restrict
+from .rates import _input_logs, _lse, _lse_rows, _margin_gap, _restrict
 
 RHO_CAP = 64.0
 FLAG_TOL = 1e-6
@@ -104,7 +105,7 @@ def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     feas = gap <= 1e-12
     with np.errstate(divide="ignore"):
         ln_mass = np.log(np.where(feas, np.exp(lnq)[None, :], 0.0).sum(axis=1))
-    return float(-logsumexp(lnw[keep] + rho * ln_mass[keep]))
+    return float(-_lse(lnw[keep] + rho * ln_mass[keep]))
 
 
 def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
@@ -137,40 +138,43 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     return max(res.value, 0.0), res.x
 
 
-def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
-                s_cap: float = S_CAP, n_grid: int = 512):
+def _tilt_scan(gap: np.ndarray, lnq: np.ndarray):
+    """The rho-free half of the envelope's tilt scan.
+
+    Returns the 512-point grid s in {0} U [1e-4, S_CAP] (log-spaced above
+    zero) and the (grid, rows) table of ln bracket_x(s) on it.
+    """
+    grid = np.concatenate([[0.0], np.geomspace(1e-4, S_CAP, 511)])
+    return grid, _lse(lnq[None, None, :] - grid[:, None, None] * gap[None, :, :])
+
+
+def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, scan):
     """inf over s >= 0 of  -ln sum_x w(x) bracket_x(s)^(-rho).
 
     The landscape can have several local minima, so the whole ray is scanned
-    on a log-spaced grid and every interior dip is refined by golden section.
-    Callers must ensure max_x min_xhat gap <= 0 (otherwise the infimum is
-    -inf and the enveloping formula does not apply).
+    on the log-spaced grid of ``scan`` (from ``_tilt_scan``; an envelope call
+    computes it once for all its outer probes) and every interior dip is
+    refined by golden section.  Callers must ensure max_x min_xhat gap <= 0
+    (otherwise the infimum is -inf and the enveloping formula does not apply).
     """
     if rho <= 1e-14:
         return 0.0, 0.0
-    grid = np.concatenate([[0.0], np.geomspace(1e-4, s_cap, n_grid - 1)])
-    lnb = logsumexp(lnq[None, None, :] - grid[:, None, None] * gap[None, :, :], axis=2)
-    vals = -logsumexp(lnw[None, :] - rho * lnb, axis=1)
+    grid, lnb = scan
+    vals = -_lse(lnw[None, :] - rho * lnb)
 
     best_val = float(vals[0])
     best_s = 0.0
     # Refine each interior dip once; runs of near-equal grid values (plateaus)
-    # collapse to a single bracket.
+    # collapse to a single bracket [grid[i - 1], grid[j + 1]].
     is_min = np.zeros(len(grid), dtype=bool)
     is_min[1:-1] = (vals[1:-1] <= vals[:-2] + _TIE_TOL) & (vals[1:-1] <= vals[2:] + _TIE_TOL)
-    i = 1
-    while i < len(grid) - 1:
-        if not is_min[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(grid) - 1 and is_min[j + 1]:
-            j += 1
+    starts = np.flatnonzero(is_min[1:] & ~is_min[:-1]) + 1
+    ends = np.flatnonzero(is_min[:-1] & ~is_min[1:])
+    for i, j in zip(starts, ends):
         res = golden_max(lambda s: -_e0_many(lnw, gap, lnq, -rho, s), grid[i - 1], grid[j + 1],
                          rel_tol=1e-12, vectorized=True)
         if -res.value < best_val:
             best_val, best_s = -res.value, res.x
-        i = j + 2
 
     dmin = gap.min(axis=1)
     if float(dmin.max()) >= -1e-12:
@@ -215,7 +219,7 @@ def gallager_e0(s: float, rho: float, q: Distribution, p: Channel,
     -ln sum_{x,y} q(x) p(y|x) [ sum_xhat q(xhat) (p(y|x)/(p(y|xhat)) e^{-level})^{-s} ]^rho
     """
     lnw, gap, lnq = _channel_parts(q, p, level)
-    return float(-logsumexp(lnw + rho * _ln_bracket(lnq, gap, s)))
+    return float(-_lse(lnw + rho * _ln_bracket(lnq, gap, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +346,9 @@ _TRIVIAL_ENVELOPE = ExponentResult(0.0, 0.0, 0.0,
 def _envelope_exponent(lnw, gap, lnq, rate: float, rho_cap: float) -> ExponentResult:
     """sup over rho in [0, rho_cap] of (inf_s e0(s, -rho)) + rho * rate."""
     flags = {"envelope_only"}
+    scan = _tilt_scan(gap, lnq)
     value, rho_star, s_star, at_cap = _slope_solve(
-        lambda rho: _inf_e0_ray(lnw, gap, lnq, rho), -rate, rho_cap)
+        lambda rho: _inf_e0_ray(lnw, gap, lnq, rho, scan), -rate, rho_cap)
     if at_cap:
         flags.add("rho_at_cap")
         if rate > _row_rate_max(gap, lnq) + 1e-9:
@@ -403,8 +408,8 @@ def failure_inner_curve(source: Distribution, codebook: Distribution,
     """
     lnw, gap, lnq = _source_parts(source, codebook, d, level)
     s_vec = np.asarray(s_values, dtype=float)
-    lnb = logsumexp(lnq[None, None, :] - s_vec[:, None, None] * gap[None, :, :], axis=2)
-    return -logsumexp(lnw[None, :] - rho * lnb, axis=1)
+    lnb = _lse(lnq[None, None, :] - s_vec[:, None, None] * gap[None, :, :])
+    return -_lse(lnw[None, :] - rho * lnb)
 
 
 def failure_tangency_law(source: Distribution, codebook: Distribution,
@@ -417,7 +422,7 @@ def failure_tangency_law(source: Distribution, codebook: Distribution,
     """
     lnw, gap, lnq = _source_parts(source, codebook, d, level)
     ln_t = lnw - rho * _ln_bracket(lnq, gap, s)
-    ln_t -= logsumexp(ln_t)
+    ln_t -= _lse(ln_t)
     probs = np.zeros(source.alphabet_size)
     probs[source.probs > 0.0] = np.exp(ln_t)
     return Distribution(probs / probs.sum())
@@ -438,11 +443,11 @@ def refine_inner_minima(source: Distribution, codebook: Distribution,
         return -failure_inner_curve(source, codebook, d, level, rho, s)
 
     found = []
-    for i in range(1, len(s_grid) - 1):
-        if vals[i] <= vals[i - 1] + _TIE_TOL and vals[i] <= vals[i + 1] + _TIE_TOL:
-            res = golden_max(neg_curve, s_grid[i - 1], s_grid[i + 1],
-                             rel_tol=1e-13, max_iter=240, vectorized=True)
-            found.append((res.x, -res.value))
+    dips = (vals[1:-1] <= vals[:-2] + _TIE_TOL) & (vals[1:-1] <= vals[2:] + _TIE_TOL)
+    for i in np.flatnonzero(dips) + 1:
+        res = golden_max(neg_curve, s_grid[i - 1], s_grid[i + 1],
+                         rel_tol=1e-13, max_iter=240, vectorized=True)
+        found.append((res.x, -res.value))
     found.sort()
     merged = []
     for s, v in found:

@@ -22,10 +22,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CodebookTooLarge, DimensionMismatch, InsufficientData
 from .probability import Channel, Distribution, DistortionModel
+from .rates import _lse
 
 EXPERIMENTS = ("source-encode", "channel-margin", "forney")
 _EVENT_TOL = 1e-9
@@ -262,7 +262,7 @@ def simulate_forney(cfg: SimConfig, q: Distribution, p: Channel,
 
     def worker(rng, trials, n, words, shift, tol):
         l_sent, l_comp = _channel_scores(rng, trials, n, words, q, p)
-        gap = l_sent - logsumexp(l_comp, axis=1)
+        gap = l_sent - _lse(l_comp)
         return (int((gap < shift - tol).sum()),)
 
     return _simulate(cfg, q.alphabet_size, worker, "forney-error", threads)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch
 from .optimize import concave_max_on_ray, golden_max
@@ -72,13 +71,45 @@ def channel_distortion(p: Channel) -> DistortionModel:
 
 
 def _lse_rows(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over the last axis without scipy's dispatch overhead.
+    """Log-sum-exp over the last axis, as log(sum(exp(a - max))) + max.
 
     Each row gets the same bits whatever the leading shape, so a batch of
-    arrays reduces exactly like its members one at a time.
+    arrays reduces exactly like its members one at a time.  The solvers'
+    objectives use this form; ``_lse`` is the other one.
     """
     m = a.max(axis=-1)
     return np.log(np.exp(a - m[..., None]).sum(axis=-1)) + m
+
+
+def _lse(a) -> np.ndarray:
+    """Log-sum-exp over the last axis with the bits of ``scipy.special.logsumexp``.
+
+    The same float operations, in the same order, as the algorithm of scipy
+    1.17 (checked against 1.17.1) for real input without weights: with the row
+    maximum a_max and the count m of entries equal to it,
+
+        log1p(sum of exp(a - a_max) over the other entries / m) + log(m) + a_max,
+
+    where a zero sum is not divided, and log(sum(exp(a))) replaces the result
+    where it is not finite (rows whose maximum is infinite or nan).  scipy
+    computes that fallback for every row; here it runs only where needed, so
+    the input is exponentiated once, and there is no array-API dispatch.
+    Rows reduce independently, so a batch gets the bits of its members.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=-1, keepdims=True)
+    is_max = a == a_max
+    count = is_max.sum(axis=-1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = np.exp(a - a_max)
+        np.copyto(terms, 0.0, where=is_max)
+        total = terms.sum(axis=-1, keepdims=True)
+        total = np.where(total == 0.0, total, total / count)
+        out = np.log1p(total) + np.log(count) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    return out[..., 0]
 
 
 def _weights_of(t) -> np.ndarray:
@@ -106,7 +137,7 @@ def _feasible_limit(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray) -> f
         feas = dgap[x] <= 1e-12
         if not np.any(feas):
             return -math.inf
-        value -= weights[x] * logsumexp(lnq[feas])
+        value -= weights[x] * _lse(lnq[feas])
     return float(value)
 
 
@@ -120,7 +151,7 @@ def _tight_limit(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray) -> floa
     value = 0.0
     for x in np.flatnonzero(weights > 0.0):
         tight = dgap[x] <= dgap[x].min() + 1e-12
-        value -= weights[x] * logsumexp(lnq[tight])
+        value -= weights[x] * _lse(lnq[tight])
     return float(value)
 
 
@@ -193,11 +224,17 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
     """Vectorized rate_function values for many source laws at once.
 
     Used by the brute-force oracles, where tens of thousands of grid laws
-    share one (codebook, distortion, level) triple.  Each law runs its own
-    bracketing and golden section, synchronized across the batch.
+    share one (codebook, distortion, level) triple.  The doubling probes
+    0, 1, 2, 4, ... use the same tilts for every law, so their per-row
+    brackets ln sum_xhat q(xhat) e^{-s gap[x, xhat]} form one probes x rows
+    table, computed once and weighted by each law.  The golden-section
+    refinement then runs, synchronized, only on the live laws: those that
+    have not diverged, rise at zero tilt and did not close their bracket at
+    the cap.  The others' values are settled without it (+inf, zero, or the
+    limit at infinite tilt), so every value has the bits of running all laws
+    through both stages.
     """
     t_batch = np.asarray(t_batch, dtype=float)
-    n = t_batch.shape[0]
     dsub, lnq = _restrict(q, d)
     gap = dsub - level
 
@@ -208,16 +245,22 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
     qsub = np.exp(lnq)
     slope_zero = t_batch @ (gap @ qsub)
 
-    def g_many(s_vec: np.ndarray) -> np.ndarray:
-        m = lnq[None, None, :] - s_vec[:, None, None] * gap[None, :, :]
-        return -np.einsum("nx,nx->n", t_batch, logsumexp(m, axis=2))
+    def brackets(s_vec: np.ndarray) -> np.ndarray:
+        """ln sum_xhat q(xhat) e^{-s gap[x, xhat]} at every tilt: (tilts, rows)."""
+        return _lse(lnq[None, None, :] - s_vec[:, None, None] * gap[None, :, :])
+
+    def weigh(t: np.ndarray, ln_brackets: np.ndarray) -> np.ndarray:
+        return -np.einsum("nx,nx->n", t, ln_brackets)
 
     hard_cap = max(s_cap, S_CAP_HARD)
     probes = [0.0, 1.0]
     while probes[-1] < hard_cap:
         probes.append(min(2.0 * probes[-1], hard_cap))
     probes = np.array(probes)
-    vals = np.stack([g_many(np.full(n, s)) for s in probes])  # (P, n)
+    # Each law weighs a contiguous copy of the shared row, so the einsum sums
+    # it exactly as it sums rows of per-law brackets.
+    vals = np.stack([weigh(t_batch, np.broadcast_to(row, t_batch.shape).copy())
+                     for row in brackets(probes)])  # (P, n)
 
     best = vals.max(axis=0)
     # First probe index where the objective stops increasing.
@@ -226,23 +269,28 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
     first_drop = np.argmin(increases, axis=0)  # index into diffs
     lo_idx = np.maximum(first_drop - 1, 0)
     hi_idx = np.minimum(first_drop + 1, len(probes) - 1)
-    a = probes[lo_idx]
-    b = probes[hi_idx]
-    a = np.where(still, probes[-1], a)
-    b = np.where(still, probes[-1], b)
 
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    for _ in range(golden_iters):
-        h = b - a
-        c = a + inv_phi2 * h
-        dd = a + inv_phi * h
-        yc = g_many(c)
-        yd = g_many(dd)
-        best = np.maximum(best, np.maximum(yc, yd))
-        take_left = yc > yd
-        b = np.where(take_left, dd, b)
-        a = np.where(take_left, a, c)
+    # The rest are set to +inf or 0 at the end, or closed their bracket at
+    # the cap, where every golden point is the cap probe itself.
+    live = np.flatnonzero(~(diverged | (slope_zero <= 0.0) | still))
+    if live.size:
+        t_live = t_batch[live]
+        a = probes[lo_idx[live]]
+        b = probes[hi_idx[live]]
+        top = best[live]
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
+        for _ in range(golden_iters):
+            h = b - a
+            c = a + inv_phi2 * h
+            dd = a + inv_phi * h
+            yc = weigh(t_live, brackets(c))
+            yd = weigh(t_live, brackets(dd))
+            top = np.maximum(top, np.maximum(yc, yd))
+            take_left = yc > yd
+            b = np.where(take_left, dd, b)
+            a = np.where(take_left, a, c)
+        best[live] = top
 
     # Laws whose objective was still increasing at the cap attain the
     # supremum in the limit; use the feasible-mass formula there.
@@ -363,15 +411,18 @@ def finiteness_boundary(q: Distribution, p: Channel, level: float) -> float:
 
     Computed as sup over s in [0, 1] of the worst-pair dual objective; the
     inner minimum of concave functions is concave, so golden section is exact.
-    Equals max{0, -level} for point-mass codebooks.
+    The objective is evaluated at many tilts per call (each gets the bits of
+    its own evaluation), so the search takes the vectorized walk.  Equals
+    max{0, -level} for point-mass codebooks.
     """
     gap, lnq = _margin_gap(q, p, level)
 
-    def worst(s: float) -> float:
-        return float(-_lse_rows(lnq[None, :] - s * gap).max())
+    def worst(s: np.ndarray) -> np.ndarray:
+        return -_lse_rows(lnq - s[:, None, None] * gap).max(axis=-1)
 
-    res = golden_max(worst, 0.0, 1.0, rel_tol=1e-12, max_iter=240)
-    return max(res.value, worst(0.0), worst(1.0), 0.0)
+    res = golden_max(worst, 0.0, 1.0, rel_tol=1e-12, max_iter=240, vectorized=True)
+    y0, y1 = worst(np.array([0.0, 1.0])).tolist()
+    return max(res.value, y0, y1, 0.0)
 
 
 def min_rate_boundary(q: Distribution, p: Channel, level: float,

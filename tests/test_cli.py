@@ -127,6 +127,38 @@ def test_nonpositive_grids_and_block_lengths_are_argument_errors(capsys):
         assert flag in _argument_error(capsys, *argv)
 
 
+@pytest.fixture
+def no_model_read(monkeypatch):
+    """Make reading a model spec fail the test: argument errors come first."""
+    def no_load(path):
+        raise AssertionError("the model spec was read before the argument check")
+
+    monkeypatch.setattr(cli, "load_model", no_load)
+
+
+def _curve_argument_error(capsys, *extra) -> str:
+    return _argument_error(capsys, "curve", fig_path("fig1.json"), "--kind", "success", *extra)
+
+
+def test_curve_rate_range_without_count_is_an_argument_error(capsys, no_model_read):
+    assert "--rates" in _curve_argument_error(capsys, "--rates", "0:1")
+
+
+def test_curve_rate_range_with_bad_count_is_an_argument_error(capsys, no_model_read):
+    assert "--rates" in _curve_argument_error(capsys, "--rates", "0:1:x")
+
+
+def test_curve_rate_range_count_below_one_is_an_argument_error(capsys, no_model_read):
+    for count in ("0", "-3"):
+        err = _curve_argument_error(capsys, "--rates", f"0:1:{count}")
+        assert "--rates" in err and "at least 1" in err
+
+
+def test_curve_non_number_level_is_an_argument_error(capsys, no_model_read):
+    err = _curve_argument_error(capsys, "--rates", "0.1,0.2", "--D", "0.1,abc")
+    assert "--D" in err and "abc" in err
+
+
 def test_dump_spec_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", fig_path("fig1.json"), "--dump-spec")
     assert code == 0
