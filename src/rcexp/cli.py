@@ -56,6 +56,9 @@ EXIT_SPEC = 2
 EXIT_DIMENSION = 3
 EXIT_OUTPUT = 4
 EXIT_CODEBOOK = 5
+# Ceiling of simulate --threads.  A constant, so that which invocations are
+# accepted does not depend on the host.
+MAX_THREADS = 64
 
 _SOURCE = ("source", "codebook", "distortion")
 _CHANNEL = ("codebook", "channel")
@@ -161,8 +164,9 @@ class _OutputError(RcexpError):
     pass
 
 
-def _positive(parse):
-    """An argparse type: ``parse`` the text and reject values below one."""
+def _positive(parse, ceiling=None):
+    """An argparse type: ``parse`` the text and reject values below one, or
+    above ``ceiling``."""
 
     def convert(text: str) -> int:
         try:
@@ -171,6 +175,8 @@ def _positive(parse):
             raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from None
         if value < 1:
             raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+        if ceiling is not None and value > ceiling:
+            raise argparse.ArgumentTypeError(f"must be at most {ceiling}: {text!r}")
         return value
 
     return convert
@@ -178,6 +184,7 @@ def _positive(parse):
 
 _COUNT = _positive(int)
 _TRIALS = _positive(lambda text: int(float(text)))
+_THREADS = _positive(int, MAX_THREADS)
 
 
 def _block_lengths(text: str) -> tuple:
@@ -185,11 +192,14 @@ def _block_lengths(text: str) -> tuple:
 
 
 def _number(text: str) -> float:
-    """An argparse type: one float."""
+    """An argparse type: one finite float."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
 
 
 def _numbers(text: str) -> list:
@@ -366,7 +376,7 @@ def cmd_oracle_audit(args) -> int:
 
 
 def _add_level_args(sub, default=0.0):
-    sub.add_argument("--D", dest="level_value", type=float, default=default,
+    sub.add_argument("--D", dest="level_value", type=_number, default=default,
                      help="distortion level (nats, or units with --scaled)")
     sub.add_argument("--scaled", action="store_true",
                      help="interpret --D as a multiple of ln((1-p)/p)")
@@ -383,12 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("compute", help="evaluate one exponent")
     sp.add_argument("model")
     sp.add_argument("--kind", choices=tuple(_KINDS), default="success")
-    sp.add_argument("--R", dest="rate", type=float, default=0.0)
+    sp.add_argument("--R", dest="rate", type=_number, default=0.0)
     _add_level_args(sp)
-    sp.add_argument("--rho-cap", dest="rho_cap", type=float, default=None)
+    sp.add_argument("--rho-cap", dest="rho_cap", type=_number, default=None)
     sp.add_argument("--oracle", type=_COUNT, default=None, metavar="M",
                     help="add the brute-force value at grid denominator M")
-    sp.add_argument("--inner-scan-rho", type=float, default=None,
+    sp.add_argument("--inner-scan-rho", type=_number, default=None,
                     help="scan the failure inner objective at this slope")
     sp.add_argument("--dump-spec", action="store_true")
     sp.add_argument("--out", default=None)
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scaled", action="store_true")
     sp.add_argument("--levels-from-spec", action="store_true",
                     help="use the d_scale_values stored in the model spec")
-    sp.add_argument("--rho-cap", dest="rho_cap", type=float, default=None)
+    sp.add_argument("--rho-cap", dest="rho_cap", type=_number, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_curve)
 
@@ -413,11 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--experiment", choices=tuple(_EXPERIMENTS), required=True)
     sp.add_argument("--n", type=_block_lengths, required=True,
                     help="comma list of block lengths")
-    sp.add_argument("--rate", type=float, required=True)
+    sp.add_argument("--rate", type=_number, required=True)
     _add_level_args(sp)
     sp.add_argument("--trials", type=_TRIALS, default="10000")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_THREADS, default=1,
+                    help=f"worker threads, 1 to {MAX_THREADS}; counts do not depend on it")
     sp.add_argument("--codebook-cap", type=int, default=2 ** 20)
     sp.add_argument("--compare", action="store_true",
                     help="append the engine exponent and relative gap")
@@ -427,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("maximize-q", help="optimize the codebook distribution")
     sp.add_argument("model")
     sp.add_argument("--kind", choices=tuple(_CHANNEL_KINDS), default="error-extended")
-    sp.add_argument("--R", dest="rate", type=float, default=0.0)
+    sp.add_argument("--R", dest="rate", type=_number, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--grid", type=_COUNT, default=16)
     sp.add_argument("--refine", type=int, default=3)
@@ -443,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("model")
     sp.add_argument("--kind", choices=tuple(k for k, (_, _, oracle) in _KINDS.items()
                                             if oracle is not None), required=True)
-    sp.add_argument("--R", dest="rate", type=float, default=0.0)
+    sp.add_argument("--R", dest="rate", type=_number, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--grid", type=_COUNT, default=24)
     sp.add_argument("--out", default=None)

@@ -12,6 +12,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -260,14 +261,29 @@ def average_distortion(t: Distribution, w: ConditionalKernel, d: DistortionModel
 def simplex_grid_arrays(dimension: int, denominator: int) -> np.ndarray:
     """All rational points of the (dimension-1)-simplex with the given denominator.
 
-    Returns an array of shape (C(m+k-1, k-1), k) in colexicographic order of
-    the integer compositions (last coordinate varies slowest).
+    Returns a read-only array of shape (C(m+k-1, k-1), k) in colexicographic
+    order of the integer compositions (last coordinate varies slowest).  The
+    last few grids are cached, so repeated oracle calls at one alphabet size
+    and denominator share one array.
     """
     if dimension < 1 or denominator < 1:
         raise DimensionMismatch("dimension and denominator must be >= 1")
-    k, m = dimension, denominator
+    return _simplex_grid(int(dimension), int(denominator))
+
+
+@functools.lru_cache(maxsize=16)
+def _simplex_grid(k: int, m: int) -> np.ndarray:
+    grid = _compositions(k, m) / m
+    grid.flags.writeable = False
+    return grid
+
+
+def _compositions(k: int, m: int) -> np.ndarray:
+    """Every way to write m as k non-negative integers, one row each, in the
+    order of ``simplex_grid_arrays``.  Not cached: callers such as the exact
+    Monte-Carlo evaluators ask for large, one-off grids."""
     if k == 1:
-        return np.ones((1, 1))
+        return np.full((1, 1), m, dtype=np.int64)
     rows = []
 
     # Build compositions so that the output sorts by the last coordinate first.
@@ -279,7 +295,7 @@ def simplex_grid_arrays(dimension: int, denominator: int) -> np.ndarray:
             outer(position - 1, remaining - c, [c] + coords)
 
     outer(k - 1, m, [])
-    return np.array(rows, dtype=float) / m
+    return np.array(rows, dtype=np.int64)
 
 
 def simplex_grid(dimension: int, denominator: int):

@@ -52,6 +52,7 @@ from rcexp.montecarlo import (
     SimConfig,
     codebook_size,
     enumerate_source_success,
+    exact_source_success,
     simulate_source,
 )
 
@@ -368,6 +369,22 @@ def test_criterion_9_montecarlo_vs_analytic(montecarlo_runs):
     _report(9, ok, f"engine E_s = {engine:.4f} in [0.05, 0.12]; regression slope "
                    f"= {slope:.4f} (relative gap {rel:.1%}, tol 15%); "
                    f"exact-enumeration deviation = {enum_dev:.2f} Wilson SEs (tol 5)")
+
+
+def test_criterion_9_rows_match_exact_type_sums(montecarlo_runs):
+    """Each block length of criterion 9's run lies within 5 Wilson SEs of the
+    exact success probability, a sum over source types."""
+    lines = open(montecarlo_runs[1]).read().splitlines()
+    assert lines[0] == "n,trials,count,p_hat,ci_low,ci_high"
+    devs = {}
+    for line in lines[1:]:
+        n, _, _, p_hat, lo, hi = line.split(",")
+        n = int(n)
+        exact = exact_source_success(MC_SOURCE, MC_CODEBOOK, MC_DISTORTION, n,
+                                     codebook_size(n, MC_RATE, "source-encode"), MC_LEVEL)
+        devs[n] = abs(float(p_hat) - exact) / ((float(hi) - float(lo)) / (2 * 1.96))
+    assert sorted(devs) == [40, 80, 120, 160]
+    assert max(devs.values()) <= 5.0, devs
 
 
 def test_criterion_10_determinism(montecarlo_runs):

@@ -127,6 +127,47 @@ def test_nonpositive_grids_and_block_lengths_are_argument_errors(capsys):
         assert flag in _argument_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", [
+    (["compute", "{fig1}", "--R", "{v}"], "--R"),
+    (["compute", "{fig1}", "--D", "{v}"], "--D"),
+    (["compute", "{fig1}", "--kind", "failure-envelope", "--rho-cap", "{v}"], "--rho-cap"),
+    (["compute", "{fig1}", "--inner-scan-rho", "{v}"], "--inner-scan-rho"),
+    (["curve", "{fig1}", "--kind", "success", "--rates", "0.1,{v}"], "--rates"),
+    (["curve", "{fig1}", "--kind", "success", "--rates", "0:{v}:3"], "--rates"),
+    (["curve", "{fig1}", "--kind", "success", "--rates", "0.1", "--D", "{v}"], "--D"),
+    (["curve", "{fig1}", "--kind", "failure-envelope", "--rates", "0.1", "--rho-cap", "{v}"],
+     "--rho-cap"),
+    (["simulate", "{fig1}", "--experiment", "forney", "--n", "8", "--rate", "{v}"], "--rate"),
+    (["simulate", "{fig1}", "--experiment", "forney", "--n", "8", "--rate", "0.1",
+      "--D", "{v}"], "--D"),
+    (["maximize-q", "{fig1}", "--R", "{v}"], "--R"),
+    (["maximize-q", "{fig1}", "--D", "{v}"], "--D"),
+    (["oracle-audit", "{fig1}", "--kind", "success", "--R", "{v}"], "--R"),
+    (["oracle-audit", "{fig1}", "--kind", "success", "--D", "{v}"], "--D"),
+])
+def test_non_finite_float_options_are_argument_errors(capsys, no_model_read, argv, flag, value):
+    # Every float option of every subcommand (capacity has none).  The value
+    # is joined to its flag, so that "-inf" is not read as a flag.
+    argv = [a.format(fig1=fig_path("fig1.json"), v=value) for a in argv]
+    err = _argument_error(capsys, *argv[:-2], "=".join(argv[-2:]))
+    assert flag in err and "must be finite" in err
+
+
+def test_thread_count_is_bounded_at_parse_time(capsys):
+    # Parsed only: no simulation, and so no thread, is started.
+    parser = cli.build_parser()
+    base = ["simulate", fig_path("fig1.json"), "--experiment", "forney", "--n", "8",
+            "--rate", "0.1", "--threads"]
+    for threads in ("0", "-1", str(cli.MAX_THREADS + 1), "10000000"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(base + [threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+    for threads in (1, cli.MAX_THREADS):
+        assert parser.parse_args(base + [str(threads)]).threads == threads
+
+
 @pytest.fixture
 def no_model_read(monkeypatch):
     """Make reading a model spec fail the test: argument errors come first."""

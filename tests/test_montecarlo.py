@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import random_distribution
+from rcexp import montecarlo
 from rcexp.errors import CodebookTooLarge, InsufficientData
 from rcexp.probability import Channel, Distribution, DistortionModel
 from rcexp.montecarlo import (
@@ -15,6 +17,8 @@ from rcexp.montecarlo import (
     enumerate_forney_error,
     enumerate_source_success,
     estimate_exponent,
+    exact_channel_margin,
+    exact_source_success,
     simulate_channel_margin,
     simulate_forney,
     simulate_source,
@@ -22,6 +26,11 @@ from rcexp.montecarlo import (
 )
 
 HAMMING = DistortionModel([[0.0, 1.0], [1.0, 0.0]])
+THREE_SOURCE = Distribution([0.5, 0.3, 0.2])
+THREE_CODEBOOK = Distribution([0.4, 0.35, 0.25])
+THREE_DISTORTION = DistortionModel([[0.0, 1.0, 0.7], [1.0, 0.0, 0.4], [0.6, 0.8, 0.0]])
+CHANNEL_2X2 = Channel([[0.7, 0.3], [0.2, 0.8]])
+UNIFORM_2 = Distribution([0.5, 0.5])
 
 
 def _cfg(experiment, **kw):
@@ -64,9 +73,7 @@ def test_source_matches_enumeration():
 
 
 def test_three_letter_enumeration_agreement():
-    P = Distribution([0.5, 0.3, 0.2])
-    Q = Distribution([0.4, 0.35, 0.25])
-    d = DistortionModel([[0.0, 1.0, 0.7], [1.0, 0.0, 0.4], [0.6, 0.8, 0.0]])
+    P, Q, d = THREE_SOURCE, THREE_CODEBOOK, THREE_DISTORTION
     n, level = 4, 0.4
     rate = math.log(3) / n
     m = codebook_size(n, rate, "source-encode")
@@ -79,8 +86,7 @@ def test_three_letter_enumeration_agreement():
 
 
 def test_margin_matches_enumeration_and_orderings():
-    p = Channel([[0.7, 0.3], [0.2, 0.8]])
-    q = Distribution([0.5, 0.5])
+    p, q = CHANNEL_2X2, UNIFORM_2
     n, level = 5, 0.12
     cfg = _cfg("channel-margin", rate=math.log(2) / n, distortion_level=level,
                trials_per_n=100_000)
@@ -200,3 +206,119 @@ def test_estimate_exponent_constant_and_insufficient():
     zeros = _result_from_probs([10, 20, 30, 40], [0.5, 0.4, 0.0, 0.0])
     with pytest.raises(InsufficientData):
         estimate_exponent(zeros)
+
+
+def _se(row) -> float:
+    return (row.ci_high - row.ci_low) / (2 * 1.96)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_exact_type_sums_equal_enumeration(n, m):
+    for model, level in (((Distribution([0.6, 0.4]), Distribution([0.45, 0.55]), HAMMING), 0.3),
+                         ((Distribution([0.7, 0.3]), UNIFORM_2, HAMMING), 0.2),
+                         ((THREE_SOURCE, THREE_CODEBOOK, THREE_DISTORTION), 0.4)):
+        exact = exact_source_success(*model, n, m, level)
+        assert exact == pytest.approx(enumerate_source_success(*model, n, m, level), rel=1e-12)
+    for level in (-0.1, 0.0, 0.12):
+        m_words = m + 1
+        exact = exact_channel_margin(UNIFORM_2, CHANNEL_2X2, n, m_words, level)
+        enum = enumerate_channel_margin(UNIFORM_2, CHANNEL_2X2, n, m_words, level)
+        assert exact == pytest.approx(enum, rel=1e-12)
+
+
+@pytest.fixture
+def chosen(monkeypatch):
+    """The samplers the selection rule picks, one per block length simulated."""
+    picks = []
+    choose = montecarlo._choose_sampler
+
+    def spy(*args):
+        picks.append(choose(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(montecarlo, "_choose_sampler", spy)
+    return picks
+
+
+def _force(monkeypatch, sampler):
+    """Run every block length on ``sampler``, whatever the rule would pick."""
+    monkeypatch.setattr(montecarlo, "_choose_sampler", lambda *args: sampler)
+
+
+@pytest.mark.parametrize("rate, sampler", [(0.05, "codeword"), (0.1, "histogram")])
+def test_fig1_margin_sampler_matches_exact(fig1_model, chosen, rate, sampler):
+    # The selection rule keeps the codeword sampler for the 3 and 7
+    # competitors of rate 0.05, and takes the histogram sampler for the 7 and
+    # 54 of rate 0.1: the codeword sampler draws 4 categories per competitor,
+    # the histogram sampler n + 1.
+    q, p = fig1_model.codebook, fig1_model.channel
+    cfg = SimConfig((20, 40), rate, 0.0, 100_000, 5, "channel-margin")
+    rows = simulate_channel_margin(cfg, q, p).per_n
+    assert chosen == [sampler, sampler]
+    for row in rows:
+        tie, strict = exact_channel_margin(q, p, row.n, codebook_size(row.n, cfg.rate,
+                                                                      cfg.experiment), 0.0)
+        assert abs(row.p_hat - tie) <= 5 * _se(row)
+        assert abs(row.count_no_tie / row.trials - strict) <= 5 * _se(row)
+
+
+@pytest.mark.parametrize("n, rate, trials", [(4, math.log(2) / 4, 40_000), (20, 0.15, 40_000),
+                                             (40, 0.15, 8192)])
+def test_forney_samplers_agree(monkeypatch, fig1_model, n, rate, trials):
+    q, p = fig1_model.codebook, fig1_model.channel
+    assert codebook_size(n, rate, "forney") in (3, 21, 404)
+    cfg = SimConfig((n,), rate, -0.05, trials, 9, "forney")
+    _force(monkeypatch, "codeword")
+    word = simulate_forney(cfg, q, p).per_n[0]
+    _force(monkeypatch, "histogram")
+    hist = simulate_forney(cfg, q, p).per_n[0]
+    assert abs(word.p_hat - hist.p_hat) <= 5 * math.hypot(_se(word), _se(hist))
+
+
+def test_histogram_channel_experiments_draw_alike(monkeypatch, fig1_model):
+    # Same draws: the summed-likelihood decoder errs whenever the margin
+    # decoder errs strictly, trial by trial, so also in total.
+    q, p = fig1_model.codebook, fig1_model.channel
+    kw = dict(block_lengths=(12, 24), rate=0.15, distortion_level=0.0, trials_per_n=20_000,
+              master_seed=4)
+    _force(monkeypatch, "histogram")
+    marg = simulate_channel_margin(SimConfig(experiment="channel-margin", **kw), q, p)
+    forn = simulate_forney(SimConfig(experiment="forney", **kw), q, p)
+    for mrow, frow in zip(marg.per_n, forn.per_n):
+        assert frow.count >= mrow.count_no_tie
+
+
+def test_sampler_selection(fig1_model, fig3_model):
+    def choose(laws, n, rate, experiment):
+        words = codebook_size(n, rate, experiment) - (experiment != "source-encode")
+        return montecarlo._choose_sampler(laws, n, words * laws.offsets.size, experiment)
+
+    # fig3's 5x5 table has five excess values per row: its score laws are
+    # large, so it keeps the codeword sampler.
+    laws = montecarlo._ScoreLaws(fig3_model.distortion.values, fig3_model.codebook.probs)
+    assert [choose(laws, n, 0.5, "source-encode") for n in (1, 3, 6)] == ["codeword"] * 3
+    # Hamming distortion with a uniform codebook has one class of two values.
+    laws = montecarlo._ScoreLaws(HAMMING.values, UNIFORM_2.probs)
+    assert [choose(laws, n, 0.05, "source-encode") for n in (5, 60)] == ["histogram"] * 2
+    # Decoding draws n + 1 categories per trial on fig1, against 4 per
+    # competitor: few competitors keep the codeword sampler.
+    laws = montecarlo._channel_laws(fig1_model.codebook, fig1_model.channel)
+    assert [choose(laws, n, 0.05, "forney") for n in (20, 40)] == ["codeword"] * 2
+    assert [choose(laws, n, 0.15, "forney") for n in (20, 40)] == ["histogram"] * 2
+
+
+def test_shared_law_cache_under_thread_contention(monkeypatch):
+    # Blocks on many threads build and read one law cache; a lost or torn
+    # entry would change the counts.  Two classes of letter laws give many keys.
+    q = Distribution([0.45, 0.55])
+    cfg = SimConfig((30,), 0.2, 0.05, 16 * 64, 2, "channel-margin", block_trials=64)
+    _force(monkeypatch, "histogram")
+    reference = simulate_channel_margin(cfg, q, CHANNEL_2X2).per_n
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_channel_margin(cfg, q, CHANNEL_2X2, threads=8).per_n
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == reference

@@ -126,6 +126,15 @@ def test_simplex_grid_count(k, m):
     assert len(np.unique(pts, axis=0)) == pts.shape[0]
 
 
+def test_simplex_grid_arrays_are_cached_and_read_only():
+    first = simplex_grid_arrays(3, 7)
+    again = simplex_grid_arrays(3, 7)
+    assert np.array_equal(first, again)
+    for grid in (first, again, simplex_grid_arrays(1, 4)):
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.5
+
+
 def test_simplex_grid_examples():
     pts = {tuple(p.probs) for p in simplex_grid(2, 4)}
     assert pts == {(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0)}
