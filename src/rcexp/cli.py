@@ -164,17 +164,17 @@ class _OutputError(RcexpError):
     pass
 
 
-def _positive(parse, ceiling=None):
-    """An argparse type: ``parse`` the text and reject values below one, or
-    above ``ceiling``."""
+def _bounded(parse, floor, ceiling=None):
+    """An argparse type: ``parse`` the text and reject values below ``floor``,
+    or above ``ceiling``."""
 
     def convert(text: str) -> int:
         try:
             value = parse(text)
         except (ValueError, OverflowError):
             raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from None
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}: {text!r}")
         if ceiling is not None and value > ceiling:
             raise argparse.ArgumentTypeError(f"must be at most {ceiling}: {text!r}")
         return value
@@ -182,9 +182,10 @@ def _positive(parse, ceiling=None):
     return convert
 
 
-_COUNT = _positive(int)
-_TRIALS = _positive(lambda text: int(float(text)))
-_THREADS = _positive(int, MAX_THREADS)
+_COUNT = _bounded(int, 1)
+_NONNEGATIVE = _bounded(int, 0)
+_TRIALS = _bounded(lambda text: int(float(text)), 1)
+_THREADS = _bounded(int, 1, MAX_THREADS)
 
 
 def _block_lengths(text: str) -> tuple:
@@ -199,6 +200,14 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _positive_number(text: str) -> float:
+    """An argparse type: one finite float above zero."""
+    value = _number(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
 
 
@@ -395,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=tuple(_KINDS), default="success")
     sp.add_argument("--R", dest="rate", type=_number, default=0.0)
     _add_level_args(sp)
-    sp.add_argument("--rho-cap", dest="rho_cap", type=_number, default=None)
+    sp.add_argument("--rho-cap", dest="rho_cap", type=_positive_number, default=None)
     sp.add_argument("--oracle", type=_COUNT, default=None, metavar="M",
                     help="add the brute-force value at grid denominator M")
     sp.add_argument("--inner-scan-rho", type=_number, default=None,
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scaled", action="store_true")
     sp.add_argument("--levels-from-spec", action="store_true",
                     help="use the d_scale_values stored in the model spec")
-    sp.add_argument("--rho-cap", dest="rho_cap", type=_number, default=None)
+    sp.add_argument("--rho-cap", dest="rho_cap", type=_positive_number, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_curve)
 
@@ -426,10 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", type=_number, required=True)
     _add_level_args(sp)
     sp.add_argument("--trials", type=_TRIALS, default="10000")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
     sp.add_argument("--threads", type=_THREADS, default=1,
                     help=f"worker threads, 1 to {MAX_THREADS}; counts do not depend on it")
-    sp.add_argument("--codebook-cap", type=int, default=2 ** 20)
+    sp.add_argument("--codebook-cap", type=_COUNT, default=2 ** 20)
     sp.add_argument("--compare", action="store_true",
                     help="append the engine exponent and relative gap")
     sp.add_argument("--out", default=None)
@@ -441,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--R", dest="rate", type=_number, default=0.0)
     _add_level_args(sp)
     sp.add_argument("--grid", type=_COUNT, default=16)
-    sp.add_argument("--refine", type=int, default=3)
+    sp.add_argument("--refine", type=_NONNEGATIVE, default=3)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_maximize_q)
 

@@ -93,9 +93,28 @@ def _e0_many(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray,
              rho: float, s: np.ndarray) -> np.ndarray:
     """-ln sum_x w(x) bracket_x(s)^rho at every tilt in ``s``, all in log space.
 
-    Each entry has the bits of the same formula evaluated at its tilt alone.
+    Each entry has the bits of the same formula evaluated at its tilt alone:
+    this is ``-_lse_rows(lnw + rho * _lse_rows(lnq - s[:, None, None] * gap))``
+    with the same ufuncs in the same order, computed in place (the last
+    argument of each ufunc is its output).
     """
-    return -_lse_rows(lnw + rho * _lse_rows(lnq - s[:, None, None] * gap))
+    a = np.multiply(s[:, None, None], gap)
+    np.subtract(lnq, a, a)
+    m = np.maximum.reduce(a, -1)
+    np.subtract(a, m[..., None], a)
+    np.exp(a, a)
+    t = np.add.reduce(a, -1)
+    np.log(t, t)
+    np.add(t, m, t)
+    np.multiply(rho, t, t)
+    np.add(lnw, t, t)
+    m = np.maximum.reduce(t, -1)
+    np.subtract(t, m[:, None], t)
+    np.exp(t, t)
+    v = np.add.reduce(t, -1)
+    np.log(v, v)
+    np.add(v, m, v)
+    return np.negative(v, v)
 
 
 def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
@@ -555,6 +574,11 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
     For negative levels and rates below -level the list-decoding exponent is
     unbounded and a point-mass codebook witnesses it, so the search
     short-circuits.  Scan order is deterministic.
+
+    Each distinct law is solved once: the exponent of every law the search
+    visits is kept under the law's bytes, so the returned result is the one
+    the search computed for the best law, and a law the refinement revisits
+    is not solved again.  The values are those of solving each law anew.
     """
     if kind not in _CHANNEL_KINDS:
         raise DimensionMismatch(f"kind must be one of {sorted(_CHANNEL_KINDS)}")
@@ -565,12 +589,18 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
         witness = Distribution.point_mass(k, 0)
         return witness, evaluate(witness, p, rate, level)
 
-    def f(vec: np.ndarray) -> float:
-        return evaluate(Distribution(vec), p, rate, level).value
+    solved = {}
 
-    best = maximize_over_simplex(f, k, denominator, refinement_rounds)
-    q_best = Distribution(best.point)
-    return q_best, evaluate(q_best, p, rate, level)
+    def solve(vec: np.ndarray) -> tuple:
+        key = vec.tobytes()
+        if key not in solved:
+            q = Distribution(vec)
+            solved[key] = q, evaluate(q, p, rate, level)
+        return solved[key]
+
+    best = maximize_over_simplex(lambda vec: solve(vec)[1].value, k, denominator,
+                                 refinement_rounds)
+    return solve(best.point)
 
 
 def capacity(p: Channel, denominator: int = 16, refinement_rounds: int = 48):

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,29 +361,31 @@ def _simulate(cfg: SimConfig, letters: int, laws: _ScoreLaws, workers: dict,
     ``workers[sampler](rng, trials, n, words, shift, tol)`` returns the
     block's event count, plus the strict count for the margin decoder.
     ``words`` are the scored codewords: all M for encoding, the M - 1
-    competitors for decoding.
+    competitors for decoding.  With more than one thread, one pool serves
+    every block length.
     """
     rows = []
-    for n in cfg.block_lengths:
-        m_words = codebook_size(n, cfg.rate, cfg.experiment, cfg.codebook_cap)
-        words = m_words if cfg.experiment == "source-encode" else m_words - 1
-        cells = words * letters
-        block = _block_sizes(cfg, cells)
-        shift = n * cfg.distortion_level
-        tol = _EVENT_TOL * (1.0 + abs(shift))
-        worker = workers[_choose_sampler(laws, n, cells, cfg.experiment)]
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    with pool:
+        for n in cfg.block_lengths:
+            m_words = codebook_size(n, cfg.rate, cfg.experiment, cfg.codebook_cap)
+            words = m_words if cfg.experiment == "source-encode" else m_words - 1
+            cells = words * letters
+            block = _block_sizes(cfg, cells)
+            shift = n * cfg.distortion_level
+            tol = _EVENT_TOL * (1.0 + abs(shift))
+            worker = workers[_choose_sampler(laws, n, cells, cfg.experiment)]
 
-        def job(b: int):
-            trials = min(block, cfg.trials_per_n - b * block)
-            return worker(_rng_for(cfg.master_seed, n, b), trials, n, words, shift, tol)
+            def job(b: int):
+                trials = min(block, cfg.trials_per_n - b * block)
+                return worker(_rng_for(cfg.master_seed, n, b), trials, n, words, shift, tol)
 
-        blocks = range((cfg.trials_per_n + block - 1) // block)
-        if threads <= 1:
-            results = [job(b) for b in blocks]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = range((cfg.trials_per_n + block - 1) // block)
+            if threads <= 1:
+                results = [job(b) for b in blocks]
+            else:
                 results = list(pool.map(job, blocks))
-        rows.append(_count_row(n, cfg.trials_per_n, *(sum(col) for col in zip(*results))))
+            rows.append(_count_row(n, cfg.trials_per_n, *(sum(col) for col in zip(*results))))
     return _with_estimate(SimResult(tuple(rows), event=event))
 
 

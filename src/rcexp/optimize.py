@@ -53,19 +53,6 @@ def _batched(f, vectorized: bool):
     return (lambda xs: list(map(f, xs))), 1
 
 
-def _golden_step(a: float, h: float, c: float, d: float, left: bool):
-    """One golden-section step on [a, a + h] with interior points c < d.
-
-    ``left`` (f(c) > f(d)) keeps [a, d]: d becomes c and a new c is placed.
-    Otherwise [c, a + h] is kept: c becomes d and a new d is placed.  Returns
-    the new (a, h, c, d, left); the new point is c when ``left``, else d.
-    """
-    h = _INV_PHI * h
-    if left:
-        return a, h, a + _INV_PHI2 * h, c, True
-    return c, h, d, c + _INV_PHI * h, False
-
-
 def _golden(many, depth: int, lo: float, hi: float, rel_tol: float, max_iter: int,
             extra: tuple = ()):
     """Golden section of the list objective ``many`` on [lo, hi], ``depth``
@@ -93,20 +80,39 @@ def _golden(many, depth: int, lo: float, hi: float, rel_tol: float, max_iter: in
     while todo:
         k = min(depth, todo)
         todo -= k
-        # Every bracket the next k steps can reach, level by level: node i is
-        # followed by node 2i + 1 when f(c) > f(d) there, else by 2i + 2.
-        nodes = level = [_golden_step(a, h, c, d, left)]
-        for _ in range(1, k):
-            level = [_golden_step(na, nh, nc, nd, side)
-                     for na, nh, nc, nd, _ in level for side in (True, False)]
-            nodes += level
-        ys = many([nc if nleft else nd for _, _, nc, nd, nleft in nodes])
+        # A step keeps [a, d] when f(c) > f(d): d becomes c and the new point
+        # c is a + h / phi**2.  Otherwise it keeps [c, a + h]: c becomes d and
+        # the new point d is c + h / phi.  Either way h shrinks by 1/phi, so
+        # every bracket j steps ahead has the same width.
+        widths = []
+        for _ in range(k):
+            h = _INV_PHI * h
+            widths.append(h)
+        # The new point of every bracket (a, c, d) the next k steps can reach,
+        # level by level: node i is followed by node 2i + 1 when f(c) > f(d)
+        # there, else by 2i + 2.
+        if left:
+            xs = [a + _INV_PHI2 * widths[0]]
+            level = [(a, xs[0], c)]
+        else:
+            xs = [c + _INV_PHI * widths[0]]
+            level = [(c, d, xs[0])]
+        for w in widths[1:]:
+            dc, dd = _INV_PHI2 * w, _INV_PHI * w
+            below = []
+            for na, nc, nd in level:
+                new_c, new_d = na + dc, nc + dd
+                below += ((na, new_c, nc), (nc, nd, new_d))
+                xs += (new_c, new_d)
+            level = below
+        ys = many(xs)
         i = 0
-        while i < len(nodes):
-            a, h, c, d, left = nodes[i]
+        for _ in range(k):
             if left:
+                c, d = xs[i], c
                 yc, yd = ys[i], yc
             else:
+                a, c, d = c, d, xs[i]
                 yc, yd = yd, ys[i]
             left = yc > yd
             i = 2 * i + (1 if left else 2)

@@ -168,6 +168,42 @@ def test_thread_count_is_bounded_at_parse_time(capsys):
         assert parser.parse_args(base + [str(threads)]).threads == threads
 
 
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["simulate", "{fig1}", "--experiment", "source-encode", "--n", "8", "--rate", "0.1",
+      "--codebook-cap", "0"], "--codebook-cap", "at least 1"),
+    (["simulate", "{fig1}", "--experiment", "forney", "--n", "8", "--rate", "0.1",
+      "--codebook-cap", "-3"], "--codebook-cap", "at least 1"),
+    (["simulate", "{fig1}", "--experiment", "forney", "--n", "8", "--rate", "0.1",
+      "--seed", "-1"], "--seed", "at least 0"),
+    (["maximize-q", "{fig1}", "--refine", "-1"], "--refine", "at least 0"),
+    (["compute", "{fig1}", "--kind", "failure-envelope", "--rho-cap", "-1"], "--rho-cap",
+     "positive"),
+    (["compute", "{fig1}", "--kind", "correct-extended-envelope", "--rho-cap", "0"],
+     "--rho-cap", "positive"),
+    (["curve", "{fig1}", "--kind", "failure-envelope", "--rates", "0.1", "--rho-cap", "-1"],
+     "--rho-cap", "positive"),
+    (["curve", "{fig1}", "--kind", "forney-tradeoff", "--rates", "0.1", "--rho-cap", "-0.0"],
+     "--rho-cap", "positive"),
+])
+def test_out_of_range_counts_and_caps_are_argument_errors(capsys, no_model_read, argv, flag,
+                                                          bound):
+    # The value is joined to its flag, so that "-1" is not read as a flag.
+    argv = [a.format(fig1=fig_path("fig1.json")) for a in argv]
+    err = _argument_error(capsys, *argv[:-2], "=".join(argv[-2:]))
+    assert flag in err and bound in err
+
+
+def test_lowest_counts_and_caps_parse():
+    parser = cli.build_parser()
+    fig1 = fig_path("fig1.json")
+    args = parser.parse_args(["simulate", fig1, "--experiment", "forney", "--n", "8",
+                              "--rate", "0.1", "--seed", "0", "--codebook-cap", "1"])
+    assert (args.seed, args.codebook_cap) == (0, 1)
+    assert parser.parse_args(["maximize-q", fig1, "--refine", "0"]).refine == 0
+    args = parser.parse_args(["compute", fig1, "--rho-cap", "1e-300"])
+    assert args.rho_cap == 1e-300
+
+
 @pytest.fixture
 def no_model_read(monkeypatch):
     """Make reading a model spec fail the test: argument errors come first."""

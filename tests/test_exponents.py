@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import binary_entropy_nats, random_channel, random_distribution, random_distortion
+from rcexp import exponents
 from rcexp.probability import (
     Channel,
     Distribution,
     DistortionModel,
     joint_from_input_and_channel,
     mutual_information,
+    simplex_grid_arrays,
 )
 from rcexp.rates import channel_distortion, min_distortion_for_codebook, rate_function
 from rcexp.exponents import (
@@ -327,6 +329,121 @@ def test_maximize_matches_between_kinds_for_nonnegative_level(rng):
     qb, rb = maximize_over_codebooks(p, 0.03, 0.1, "e-bound", denominator=8,
                                      refinement_rounds=1)
     assert ra.value == pytest.approx(rb.value, abs=1e-7)
+
+
+def _maximize_ref(p, rate, level, kind, denominator, refinement_rounds):
+    """The reference codebook search: grid scan, mass-exchange rounds, then a
+    fresh solve of the winner, with every law it visits solved anew."""
+    evaluate = exponents._CHANNEL_KINDS[kind]
+    k = p.input_size
+    if kind != "e-bound" and level < -1e-12 and rate < -level - 1e-12:
+        witness = Distribution.point_mass(k, 0)
+        return witness, evaluate(witness, p, rate, level)
+
+    def f(vec):
+        return evaluate(Distribution(vec), p, rate, level).value
+
+    best_val, best = -math.inf, None
+    for row in simplex_grid_arrays(k, denominator):
+        val = f(row)
+        if val > best_val:
+            best_val, best = val, row
+    best = np.array(best)
+    step = 1.0 / denominator
+    for _ in range(refinement_rounds):
+        step *= 0.5
+        for _ in range(40):
+            improved = False
+            for i in range(k):
+                if best[i] < step:
+                    continue
+                for j in range(k):
+                    if i == j:
+                        continue
+                    cand = best.copy()
+                    cand[i] -= step
+                    cand[j] += step
+                    val = f(cand)
+                    if val > best_val + 1e-15:
+                        best_val, best, improved = val, cand, True
+            if not improved:
+                break
+    q_best = Distribution(best)
+    return q_best, evaluate(q_best, p, rate, level)
+
+
+def _bits(value):
+    """A float, tuple of floats or None, with floats as float.hex."""
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return float.hex(float(value))
+
+
+def _search_bits(q, res):
+    return (q.probs.tobytes(), _bits(res.value), _bits(res.optimizer_rho),
+            _bits(res.optimizer_s), _bits(res.component_values),
+            sorted(res.boundary_flags), _bits(res.upper_value))
+
+
+# Two channels with three outputs, capacities 0.325 and 0.251 nats.
+_SEARCH_CHANNELS = {
+    2: Channel([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]]),
+    3: Channel([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.25, 0.15, 0.6]]),
+}
+# (kind, inputs, rate, level, grid, refinement rounds): every kind on two and
+# three inputs, every grid from 2 to 8 (on two inputs) and 0 to 2 rounds.
+# Most optima are interior; one search is zero everywhere (rate above
+# capacity), one is infinite on part of the simplex (list decoding), and the
+# last two take the short-circuit (list decoding below -level).
+_SEARCHES = [
+    ("error-extended", 2, 0.05, 0.0, 2, 0),
+    ("e-bound", 2, 0.1, 0.1, 3, 1),
+    ("forney-tradeoff", 2, 0.15, -0.1, 4, 2),
+    ("error-extended", 2, 0.4, 0.05, 5, 2),
+    ("e-bound", 2, 0.02, -0.2, 6, 0),
+    ("forney-tradeoff", 2, 0.1, 0.0, 7, 0),
+    ("error-extended", 2, 0.2, 0.05, 8, 2),
+    ("e-bound", 3, 0.05, 0.0, 2, 2),
+    ("forney-tradeoff", 3, 0.1, -0.05, 3, 1),
+    ("error-extended", 3, 0.15, 0.1, 4, 1),
+    ("error-extended", 3, 0.05, -0.02, 5, 0),
+    ("error-extended", 2, 0.1, -0.3, 4, 2),
+    ("forney-tradeoff", 3, 0.05, -0.2, 5, 1),
+]
+
+
+@pytest.mark.parametrize("kind, inputs, rate, level, grid, rounds", _SEARCHES)
+def test_maximize_over_codebooks_matches_sequential(kind, inputs, rate, level, grid, rounds):
+    p = _SEARCH_CHANNELS[inputs]
+    got = maximize_over_codebooks(p, rate, level, kind, grid, rounds)
+    want = _maximize_ref(p, rate, level, kind, grid, rounds)
+    assert _search_bits(*got) == _search_bits(*want)
+
+
+@pytest.mark.parametrize("kind, inputs, grid, rounds", [
+    ("error-extended", 2, 4, 2), ("e-bound", 3, 2, 1), ("forney-tradeoff", 2, 4, 1),
+])
+def test_maximize_over_codebooks_solves_each_law_once(monkeypatch, kind, inputs, grid,
+                                                      rounds):
+    p = _SEARCH_CHANNELS[inputs]
+    evaluate = exponents._CHANNEL_KINDS[kind]
+    laws = []
+
+    def counted(q, *args):
+        laws.append(q.probs.tobytes())
+        return evaluate(q, *args)
+
+    monkeypatch.setitem(exponents._CHANNEL_KINDS, kind, counted)
+    q, _ = maximize_over_codebooks(p, 0.05, 0.0, kind, grid, rounds)
+    assert len(laws) == len(set(laws))
+    assert q.probs.tobytes() in laws
+    solved = len(laws)
+    laws.clear()
+    _maximize_ref(p, 0.05, 0.0, kind, grid, rounds)
+    # The reference search solves the best law twice, and revisited laws again.
+    assert solved == len(set(laws)) < len(laws)
 
 
 def test_capacity_closed_forms(rng):
