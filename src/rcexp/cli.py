@@ -13,6 +13,7 @@ string ``"inf"`` in JSON (model specs themselves reject non-finite literals).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -472,8 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on first use.  Parsing leaves no state on
+    it, so one parser serves every call of ``main``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "oracle", None) is not None and _KINDS[args.kind][2] is None:
         parser.error(f"argument --oracle: kind {args.kind!r} has no brute-force oracle")

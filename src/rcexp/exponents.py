@@ -128,7 +128,7 @@ def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
 
 
 def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
-                s_cap: float = S_CAP):
+                s_cap: float = S_CAP, rel_tol: float = 1e-10):
     """sup over s >= 0 of  -ln sum_x w(x) bracket_x(s)^rho  (concave in s).
 
     Returns (value, s_star); s_star is inf when the supremum is attained in
@@ -151,7 +151,7 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     # rows lie strictly inside the distortion level and others outside, so
     # the bracket must be allowed to run very far before giving up.
     res = concave_max_on_ray(lambda s: _e0_many(lnw, gap, lnq, rho, s),
-                             max(s_cap, S_CAP_HARD), vectorized=True)
+                             max(s_cap, S_CAP_HARD), rel_tol, vectorized=True)
     if res.at_upper:
         return max(res.value, _mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
     return max(res.value, 0.0), res.x
@@ -251,7 +251,7 @@ def _nonneg(value: float) -> float:
     return max(value, 0.0) + 0.0
 
 
-def _slope_solve(inner, rate: float, rho_cap: float | None = None):
+def _slope_solve(inner, rate: float, rho_cap: float | None = None, rel_tol: float = 1e-12):
     """sup over rho of inner(rho)[0] - rho * rate, with inner(rho) = (value, s).
 
     The slope ranges over [0, 1], or over [0, rho_cap] when a cap is given.
@@ -264,19 +264,19 @@ def _slope_solve(inner, rate: float, rho_cap: float | None = None):
         return inner(rho)[0] - rho * rate
 
     if rho_cap is None:
-        res = unimodal_max_01(outer)
+        res = unimodal_max_01(outer, rel_tol)
     else:
-        res = unimodal_max_ray_reparam(outer, rho_cap)
+        res = unimodal_max_ray_reparam(outer, rho_cap, rel_tol)
     value = _nonneg(res.value)
     rho_star = res.x if value > 0.0 else 0.0
     return value, rho_star, inner(rho_star)[1], res.at_upper
 
 
-def _tilt_max_01(lnw, gap, lnq, rho: float):
+def _tilt_max_01(lnw, gap, lnq, rho: float, rel_tol: float = 1e-10):
     """sup over s in [0, 1] of e0(s, rho): the bounded-tilt inner problem."""
     if rho <= 1e-14:
         return 0.0, 0.0
-    res = unimodal_max_01(lambda s: _e0_many(lnw, gap, lnq, rho, s), rel_tol=1e-10,
+    res = unimodal_max_01(lambda s: _e0_many(lnw, gap, lnq, rho, s), rel_tol,
                           vectorized=True)
     return res.value, res.x
 
@@ -286,17 +286,20 @@ def _tilt_max_01(lnw, gap, lnq, rho: float):
 # ---------------------------------------------------------------------------
 
 
-def _sup_exponent(lnw, gap, lnq, rate: float) -> ExponentResult:
+def _sup_exponent(lnw, gap, lnq, rate: float, rel_tol: float = 1e-12,
+                  tilt_tol: float = 1e-10) -> ExponentResult:
     """sup over rho in [0, 1] of (sup_s e0(s, rho)) - rho * rate.
 
     +inf when the level lies below every distortion on the codebook support.
+    ``rel_tol`` and ``tilt_tol`` are the tolerances of the slope and tilt
+    solves.
     """
     m = float(gap.min())
     flags = frozenset({"at_D_min"}) if abs(m) <= FLAG_TOL else frozenset()
     if m > 1e-12:
         return ExponentResult(math.inf, boundary_flags=flags)
     value, rho_star, s_star, _ = _slope_solve(
-        lambda rho: _sup_e0_ray(lnw, gap, lnq, rho), rate)
+        lambda rho: _sup_e0_ray(lnw, gap, lnq, rho, rel_tol=tilt_tol), rate, rel_tol=rel_tol)
     return ExponentResult(value, rho_star, s_star, boundary_flags=flags)
 
 
@@ -483,9 +486,41 @@ def refine_inner_minima(source: Distribution, codebook: Distribution,
 # ---------------------------------------------------------------------------
 
 
-def _component_one(lnw, gap, lnq, rate: float, rho_cap: float):
-    """sup over rho in [0, rho_cap], s in [0, 1] of e0(s, rho) - rho * rate."""
-    return _slope_solve(lambda rho: _tilt_max_01(lnw, gap, lnq, rho), rate, rho_cap)
+def _component_one(lnw, gap, lnq, rate: float, rho_cap: float | None,
+                   rel_tol: float = 1e-12, tilt_tol: float = 1e-10):
+    """sup over rho in [0, rho_cap] (in [0, 1] without a cap), s in [0, 1] of
+    e0(s, rho) - rho * rate, with the slope and tilt solved to ``rel_tol`` and
+    ``tilt_tol``."""
+    return _slope_solve(lambda rho: _tilt_max_01(lnw, gap, lnq, rho, tilt_tol), rate, rho_cap,
+                        rel_tol)
+
+
+def _first_component(lnw, gap, lnq, rate: float, boundary: float, rho_cap: float,
+                     rel_tol: float = 1e-12, tilt_tol: float = 1e-10):
+    """The tradeoff exponent's bounded-tilt component as ``_component_one``
+    returns it; +inf, with infinite optimizers, below the rate finiteness
+    ``boundary``."""
+    if rate < boundary - 1e-9:
+        return math.inf, math.inf, math.inf, False
+    return _component_one(lnw, gap, lnq, rate, rho_cap, rel_tol, tilt_tol)
+
+
+def _tradeoff_parts(lnw, gap, lnq, rate: float, boundary: float, rho_cap: float,
+                    first_tol: float = 1e-12, second_tol: float = 1e-12,
+                    tilt_tol: float = 1e-10):
+    """The two components of the tradeoff exponent and the smaller one.
+
+    Returns ``(first, second, (value, rho, s))``: the bounded-tilt component
+    as ``_first_component`` returns it, the margin error exponent's
+    ExponentResult, and the value and optimizers of the smaller component
+    (the first on a tie).  The slope solves run to ``first_tol`` and
+    ``second_tol`` and every tilt solve to ``tilt_tol``.
+    """
+    first = _first_component(lnw, gap, lnq, rate, boundary, rho_cap, first_tol, tilt_tol)
+    second = _sup_exponent(lnw, gap, lnq, rate, second_tol, tilt_tol)
+    if first[0] <= second.value:
+        return first, second, first[:3]
+    return first, second, (second.value, second.optimizer_rho, second.optimizer_s)
 
 
 def forney_exponent(q: Distribution, p: Channel, rate: float, level: float,
@@ -499,27 +534,14 @@ def forney_exponent(q: Distribution, p: Channel, rate: float, level: float,
     epsilon-relaxed upper form is attached.
     """
     lnw, gap, lnq = _channel_parts(q, p, level)
-    flags = set()
-
     boundary = finiteness_boundary(q, p, level)
-    if rate < boundary - 1e-9:
-        comp1 = math.inf
-        rho1 = s1 = math.inf
-    else:
-        comp1, rho1, s1, at_cap = _component_one(lnw, gap, lnq, rate, rho_cap)
-        if at_cap:
-            flags.add("rho_at_cap")
+    first, second, (value, rho_star, s_star) = _tradeoff_parts(lnw, gap, lnq, rate, boundary,
+                                                               rho_cap)
+    comp1, comp2 = first[0], second.value
+    flags = {"rho_at_cap"} if first[3] else set()
     if abs(rate - boundary) <= FLAG_TOL:
         flags.add("at_R_min")
-
-    second = _sup_exponent(lnw, gap, lnq, rate)
     flags |= second.boundary_flags
-    comp2 = second.value
-
-    if comp1 <= comp2:
-        value, rho_star, s_star = comp1, rho1, s1
-    else:
-        value, rho_star, s_star = comp2, second.optimizer_rho, second.optimizer_s
 
     upper = None
     if flags & {"at_D_min", "at_R_min"}:
@@ -537,10 +559,8 @@ def forney_exponent(q: Distribution, p: Channel, rate: float, level: float,
 def forney_component_one(q: Distribution, p: Channel, rate: float, level: float,
                          rho_cap: float = RHO_CAP) -> float:
     """The bounded-tilt component of the tradeoff exponent, on its own."""
-    if rate < finiteness_boundary(q, p, level) - 1e-9:
-        return math.inf
-    lnw, gap, lnq = _channel_parts(q, p, level)
-    return _component_one(lnw, gap, lnq, rate, rho_cap)[0]
+    return _first_component(*_channel_parts(q, p, level), rate,
+                            finiteness_boundary(q, p, level), rho_cap)[0]
 
 
 def forney_bound_exponent(q: Distribution, p: Channel, rate: float,
@@ -550,9 +570,7 @@ def forney_bound_exponent(q: Distribution, p: Channel, rate: float,
     Never exceeds the tradeoff exponent; coincides with it (and with the
     margin error exponent) for nonnegative levels.
     """
-    lnw, gap, lnq = _channel_parts(q, p, level)
-    value, rho_star, s_star, _ = _slope_solve(
-        lambda rho: _tilt_max_01(lnw, gap, lnq, rho), rate)
+    value, rho_star, s_star, _ = _component_one(*_channel_parts(q, p, level), rate, None)
     return ExponentResult(value, rho_star, s_star)
 
 
@@ -567,6 +585,44 @@ _CHANNEL_KINDS = {
 }
 
 
+# The codebook search screens every law with the solvers below run to
+# _SCREEN_TOL, and solves exactly only the laws whose screened value is
+# within optimize.SCREEN_MARGIN (relative to max(1, |value|)) of the best.
+# Near a smooth maximum an optimizer off by _SCREEN_TOL moves the value by
+# about its square, so the screened values are far inside half the margin.
+_SCREEN_TOL = 1e-5
+
+
+def _screen_value(kind: str, q: Distribution, p: Channel, rate: float, level: float) -> float:
+    """The value of the ``kind`` exponent at codebook ``q``, with every slope
+    and tilt solve run to ``_SCREEN_TOL``: a cheap estimate for the search.
+
+    nan where the margin family's slope objective jumps at rho = 0.  With
+    s = t / rho, e0(s, rho) tends to -ln sum_r w_r e^{-t m_r} as rho -> 0+,
+    where m_r is the smallest gap of row r.  When sum_r w_r m_r > 0 that
+    limit is positive for some t, while the objective is 0 at rho = 0; the
+    supremum may then be the limit as rho -> 0+, and near the jump the
+    objective is so curved that the loose walk can miss the supremum by a
+    first-order amount.  This needs a negative level.
+    """
+    lnw, gap, lnq = _channel_parts(q, p, level)
+    tol = _SCREEN_TOL
+    if kind == "e-bound":
+        return _component_one(lnw, gap, lnq, rate, None, tol, tol)[0]
+    if kind == "error-extended":
+        second = _sup_exponent(lnw, gap, lnq, rate, tol, tol)
+        value = second.value
+    else:
+        # The first component's slope walk runs in u = rho / (1 + rho), which
+        # stretches an error in u by (1 + rho)**2 in rho, so it runs ten
+        # times finer.
+        _, second, (value, _, _) = _tradeoff_parts(
+            lnw, gap, lnq, rate, finiteness_boundary(q, p, level), RHO_CAP, tol / 10, tol, tol)
+    if math.isfinite(second.value) and float(np.exp(lnw) @ gap.min(axis=1)) > 0.0:
+        return math.nan
+    return value
+
+
 def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
                             denominator: int = 16, refinement_rounds: int = 3):
     """Best codebook distribution for a channel exponent, by grid plus refinement.
@@ -575,10 +631,15 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
     unbounded and a point-mass codebook witnesses it, so the search
     short-circuits.  Scan order is deterministic.
 
-    Each distinct law is solved once: the exponent of every law the search
-    visits is kept under the law's bytes, so the returned result is the one
-    the search computed for the best law, and a law the refinement revisits
-    is not solved again.  The values are those of solving each law anew.
+    The search screens, then confirms: every law it visits first gets a
+    cheap value from the same solvers run to a loose tolerance, and only the
+    laws whose screened value is close enough to the best to win get the
+    exact solve (see ``maximize_over_simplex``).  The screen's error is far
+    below the margin, so the winner, every refinement step and the returned
+    result are those of solving every law exactly.  Each distinct law is
+    solved once: the exact result of every confirmed law is kept under the
+    law's bytes, and the returned result is the one computed for the best
+    law.
     """
     if kind not in _CHANNEL_KINDS:
         raise DimensionMismatch(f"kind must be one of {sorted(_CHANNEL_KINDS)}")
@@ -589,7 +650,7 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
         witness = Distribution.point_mass(k, 0)
         return witness, evaluate(witness, p, rate, level)
 
-    solved = {}
+    solved, screened = {}, {}
 
     def solve(vec: np.ndarray) -> tuple:
         key = vec.tobytes()
@@ -598,8 +659,17 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
             solved[key] = q, evaluate(q, p, rate, level)
         return solved[key]
 
+    def screen(vec: np.ndarray) -> float:
+        # A law solved exactly already screens at its exact value.
+        key = vec.tobytes()
+        if key in solved:
+            return solved[key][1].value
+        if key not in screened:
+            screened[key] = _screen_value(kind, Distribution(vec), p, rate, level)
+        return screened[key]
+
     best = maximize_over_simplex(lambda vec: solve(vec)[1].value, k, denominator,
-                                 refinement_rounds)
+                                 refinement_rounds, screen=screen)
     return solve(best.point)
 
 

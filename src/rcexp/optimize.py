@@ -36,6 +36,10 @@ _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # Golden-section steps per call of a vectorized objective; its doubling
 # probes go 2**SPEC_DEPTH - 1 to a call.
 SPEC_DEPTH = 4
+# How far below the best a screened estimate must fall, relative to
+# max(1, |best|), before maximize_over_simplex rules its point out without
+# the exact objective; a screen must err by less than half of it.
+SCREEN_MARGIN = 1e-8
 
 
 @dataclass
@@ -212,33 +216,51 @@ class SimplexMax:
 
 def maximize_over_simplex(f, dimension: int, denominator: int = 16,
                           refinement_rounds: int = 3,
-                          sweeps_per_round: int = 40) -> SimplexMax:
+                          sweeps_per_round: int = 40, screen=None) -> SimplexMax:
     """Deterministic grid seeding plus coordinate-pair mass-exchange refinement.
 
     Scans the rational simplex grid, then repeatedly moves probability mass
     ``step`` from one coordinate to another whenever that improves ``f``,
     halving ``step`` each round.  Scan order is fixed, so results do not
     depend on timing or hashing.
+
+    ``screen``, when given, is a cheap estimate of ``f`` whose error is below
+    ``SCREEN_MARGIN / 2`` relative to max(1, |f|).  Every grid point is then
+    screened first, and ``f`` runs only on the points whose estimate is
+    within ``SCREEN_MARGIN`` of the best estimate, in grid order; a
+    refinement candidate whose estimate is that far below the current best
+    is rejected without ``f``.  A point a screen cannot rule out (its
+    estimate is inf or nan) always gets ``f``.  Under the error bound no
+    point that could win is ruled out, so the result is the one the full
+    scan of ``f`` returns.  ``evaluations`` counts the calls of ``f``.
     """
     grid = simplex_grid_arrays(dimension, denominator)
+    contenders = grid
+    if screen is not None:
+        estimates = [screen(row) for row in grid]
+        top = max((v for v in estimates if v == v), default=-math.inf)
+        floor = top - SCREEN_MARGIN * max(1.0, abs(top))
+        contenders = [row for row, v in zip(grid, estimates)
+                      if not math.isfinite(v) or v >= floor]
     evals = 0
     best_val = -math.inf
     best = grid[0]
-    for row in grid:
+    for row in contenders:
         val = f(row)
         evals += 1
         if val > best_val:
             best_val = val
             best = row
     best, best_val, more = _exchange_refine(f, best, best_val, denominator,
-                                            refinement_rounds, sweeps_per_round)
+                                            refinement_rounds, sweeps_per_round, screen)
     return SimplexMax(best, best_val, evals + more)
 
 
 def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
-                     sweeps_per_round: int = 40):
+                     sweeps_per_round: int = 40, screen=None):
     """The mass-exchange rounds of maximize_over_simplex, from ``best`` with value
-    ``best_val``; returns the best point, its value and the evaluation count."""
+    ``best_val``; returns the best point, its value and the evaluation count.
+    ``screen`` rules candidates out as there."""
     best = np.array(best)
     evals = 0
     step = 1.0 / denominator
@@ -255,6 +277,8 @@ def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
                     cand = best.copy()
                     cand[i] -= step
                     cand[j] += step
+                    if screen is not None and _ruled_out(screen, cand, best_val):
+                        continue
                     val = f(cand)
                     evals += 1
                     if val > best_val + 1e-15:
@@ -264,3 +288,14 @@ def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
             if not improved:
                 break
     return best, best_val, evals
+
+
+def _ruled_out(screen, point, best_val: float) -> bool:
+    """Whether ``point`` cannot beat ``best_val`` by the refinement's 1e-15:
+    nothing beats an infinite best, and a point whose finite screen estimate
+    is below the best by more than the margin is out."""
+    if best_val == math.inf:
+        return True
+    estimate = screen(point)
+    floor = best_val + 1e-15 - SCREEN_MARGIN * max(1.0, abs(best_val))
+    return math.isfinite(estimate) and estimate < floor

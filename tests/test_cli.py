@@ -463,3 +463,45 @@ def test_cli_golden_outputs(capsys):
         assert code == 0
         _assert_same_output(_parse_output(out), _parse_output(record["stdout"]),
                             " ".join(record["argv"]))
+
+
+def _calls(capsys, argvs) -> list:
+    """(exit code, stdout, stderr) of each ``main`` call, in order."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_one_parser_serves_consecutive_calls(capsys, monkeypatch):
+    fig1 = fig_path("fig1.json")
+    argvs = [
+        ["compute", fig1, "--kind", "success", "--R", "0.1", "--D", "0"],
+        ["maximize-q", fig1, "--refine", "-1"],
+        ["capacity", fig1],
+        ["compute", fig1, "--kind", "e-bound", "--oracle", "8"],
+        ["maximize-q", fig1, "--kind", "e-bound", "--R", "0.05", "--grid", "2", "--refine", "0"],
+        ["curve", fig1, "--kind", "gallager-error", "--rates", "0.05,0.1"],
+        ["compute", fig1, "--kind", "no-such-kind"],
+        ["simulate", fig1, "--experiment", "forney", "--n", "8", "--rate", "0.1",
+         "--trials", "50", "--seed", "3"],
+        ["curve", fig1, "--kind", "success"],
+        ["compute", fig1, "--R", "0.2", "--D", "-1.7", "--scaled"],
+        ["compute", fig1, "--kind", "gallager-error"],
+        [],
+        ["oracle-audit", fig1, "--kind", "gallager-error", "--R", "0.05", "--grid", "8"],
+        ["capacity", fig1, "--out"],
+        ["compute", fig1, "--kind", "success", "--R", "0.1", "--D", "0"],
+    ]
+    shared = _calls(capsys, argvs)
+    assert cli._parser() is cli._parser()
+    # A fresh parser for every call, as main built before it kept one.
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _calls(capsys, argvs)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 0, 2, 0, 2, 0, 0, 2, 0, 2, 0]

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import binary_entropy_nats, random_channel, random_distribution, random_distortion
-from rcexp import exponents
+from rcexp import exponents, optimize
 from rcexp.probability import (
     Channel,
     Distribution,
@@ -205,6 +205,9 @@ def test_forney_component_structure(rng):
     degenerate = Distribution([0.0, 0.0, 1.0])
     res = forney_exponent(degenerate, p, 0.1, -0.3)
     assert res.component_values == (math.inf, math.inf) and math.isinf(res.value)
+    # A tie reports the first component's optimizers, infinite below the
+    # rate finiteness boundary.
+    assert res.optimizer_rho == res.optimizer_s == math.inf
     res = forney_exponent(degenerate, p, 0.4, -0.3)
     assert res.component_values[0] == 0.0 and math.isinf(res.component_values[1])
     assert res.value == 0.0
@@ -387,16 +390,23 @@ def _search_bits(q, res):
             sorted(res.boundary_flags), _bits(res.upper_value))
 
 
-# Two channels with three outputs, capacities 0.325 and 0.251 nats.
+# Two channels with three outputs, capacities 0.325 and 0.251 nats, and a
+# binary symmetric channel, on which mirror codebook laws have the same
+# exponent (to the last bit in the search on it below).
 _SEARCH_CHANNELS = {
     2: Channel([[0.8, 0.15, 0.05], [0.1, 0.2, 0.7]]),
     3: Channel([[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.25, 0.15, 0.6]]),
+    "bsc": Channel([[0.9, 0.1], [0.1, 0.9]]),
 }
 # (kind, inputs, rate, level, grid, refinement rounds): every kind on two and
 # three inputs, every grid from 2 to 8 (on two inputs) and 0 to 2 rounds.
 # Most optima are interior; one search is zero everywhere (rate above
-# capacity), one is infinite on part of the simplex (list decoding), and the
-# last two take the short-circuit (list decoding below -level).
+# capacity), one is infinite on part of the simplex (list decoding), the
+# next two take the short-circuit (list decoding below -level), and on the
+# next the two best grid laws are mirrors whose values tie to the last bit.
+# The last two reach the screen's edge cases: a winner whose screen is nan
+# (the margin component jumps at rho = 0), and refinement steps that improve
+# on the best by less than the screening margin (12 rounds).
 _SEARCHES = [
     ("error-extended", 2, 0.05, 0.0, 2, 0),
     ("e-bound", 2, 0.1, 0.1, 3, 1),
@@ -411,6 +421,9 @@ _SEARCHES = [
     ("error-extended", 3, 0.05, -0.02, 5, 0),
     ("error-extended", 2, 0.1, -0.3, 4, 2),
     ("forney-tradeoff", 3, 0.05, -0.2, 5, 1),
+    ("error-extended", "bsc", 0.05, 0.0, 3, 0),
+    ("forney-tradeoff", 2, 0.3, -0.2, 4, 0),
+    ("error-extended", 3, 0.1, 0.0, 2, 12),
 ]
 
 
@@ -442,8 +455,59 @@ def test_maximize_over_codebooks_solves_each_law_once(monkeypatch, kind, inputs,
     solved = len(laws)
     laws.clear()
     _maximize_ref(p, 0.05, 0.0, kind, grid, rounds)
-    # The reference search solves the best law twice, and revisited laws again.
-    assert solved == len(set(laws)) < len(laws)
+    # The reference search solves every law it visits, the best law twice and
+    # revisited laws again; the screened search solves only the contenders.
+    assert solved < len(set(laws)) < len(laws)
+
+
+def test_maximize_over_codebooks_confirms_both_tied_laws(monkeypatch):
+    p = _SEARCH_CHANNELS["bsc"]
+    evaluate = exponents._CHANNEL_KINDS["error-extended"]
+    values = {}
+
+    def counted(q, *args):
+        res = evaluate(q, *args)
+        values[q.probs.tobytes()] = res.value
+        return res
+
+    monkeypatch.setitem(exponents._CHANNEL_KINDS, "error-extended", counted)
+    q, res = maximize_over_codebooks(p, 0.05, 0.0, "error-extended", 3, 0)
+    first, mirror = (row.tobytes() for row in simplex_grid_arrays(2, 3)[1:3])
+    assert values[first] == values[mirror] == res.value
+    assert q.probs.tobytes() == first
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(inputs=st.integers(2, 3), outputs=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(sorted(exponents._CHANNEL_KINDS)), denominator=st.integers(2, 6),
+       law=st.integers(0, 27), level=st.floats(-0.3, 0.3), rate=st.floats(0.0, 0.8))
+# Two laws where the margin family's objective jumps at rho = 0, where a
+# screen would be off by 1.0e-7 and 6.0e-7, and a tradeoff law whose value is
+# its first component, where a slope walk run to the screen's tolerance in
+# u = rho / (1 + rho) would be off by 1.2e-9.
+@example(inputs=2, outputs=3, seed=2493279424, kind="error-extended", denominator=4, law=1,
+         level=-0.1269716422370628, rate=0.7290946546148671)
+@example(inputs=2, outputs=3, seed=2567978960, kind="error-extended", denominator=6, law=1,
+         level=-0.20031992199616178, rate=0.7462487286056039)
+@example(inputs=3, outputs=2, seed=1524516134, kind="forney-tradeoff", denominator=6, law=7,
+         level=-0.20574856641767697, rate=0.14089935500354553)
+def test_screen_value_is_far_inside_the_margin(inputs, outputs, seed, kind, denominator, law,
+                                               level, rate):
+    # Every law of the grids the search scans, vertices and edges (codebook
+    # letters of zero mass) included, on channels with entries down to 1e-3.
+    rng = np.random.default_rng(seed)
+    raw = rng.random((inputs, outputs)) + 1e-3
+    p = Channel(raw / raw.sum(axis=1, keepdims=True))
+    grid = simplex_grid_arrays(inputs, denominator)
+    q = Distribution(grid[law % len(grid)])
+    exact = exponents._CHANNEL_KINDS[kind](q, p, rate, level).value
+    screen = exponents._screen_value(kind, q, p, rate, level)
+    if math.isnan(screen):  # not vouched for: the search always confirms it
+        assert level < 0.0
+        return
+    assert math.isinf(screen) == math.isinf(exact)
+    if math.isfinite(exact):
+        assert abs(screen - exact) <= optimize.SCREEN_MARGIN / 100 * max(1.0, abs(exact))
 
 
 def test_capacity_closed_forms(rng):

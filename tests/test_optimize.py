@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from rcexp.exponents import _channel_parts, _e0_many, _source_parts
 from rcexp.optimize import (
+    SCREEN_MARGIN,
     SPEC_DEPTH,
     ScalarMax,
     concave_max_on_ray,
     golden_max,
+    maximize_over_simplex,
     unimodal_max_01,
 )
 from rcexp.probability import Channel, Distribution, DistortionModel
@@ -217,3 +219,31 @@ def test_vectorized_walk_batches_the_steps():
     res = golden_max(f, 0.0, 1.0, vectorized=True)
     assert res.evaluations == 50
     assert calls == [2] + [2 ** SPEC_DEPTH - 1] * 12
+
+
+# ---------------------------------------------------------------------------
+# The simplex search with a screen, against the search without one.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("base", [0.0, 50.0])
+@pytest.mark.parametrize("offset", [-1 / 3, 1 / 3])
+def test_screen_keeps_refinement_steps_smaller_than_the_margin(base, offset):
+    # A shallow bowl: every refinement step improves on the best by less
+    # than a third of the margin, so a screen off by a third of the margin
+    # hides each improvement unless the margin is applied, and scaled by
+    # max(1, |best|).
+    centre = np.array([0.37, 0.21, 0.42])
+
+    def f(x):
+        return base - 1e-9 * float(((x - centre) ** 2).sum())
+
+    def screen(x):
+        return f(x) + offset * SCREEN_MARGIN * max(1.0, abs(base))
+
+    want = maximize_over_simplex(f, 3, 4, refinement_rounds=6)
+    got = maximize_over_simplex(f, 3, 4, refinement_rounds=6, screen=screen)
+    grid_best = maximize_over_simplex(f, 3, 4, refinement_rounds=0)
+    assert want.point.tobytes() != grid_best.point.tobytes()
+    assert got.point.tobytes() == want.point.tobytes()
+    assert got.value.hex() == want.value.hex()
