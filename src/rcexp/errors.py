@@ -35,3 +35,7 @@ class InsufficientData(RcexpError, ValueError):
 
 class ModelSpecError(RcexpError, ValueError):
     """A JSON model spec failed to parse or validate."""
+
+
+class NoConvergence(RcexpError, ArithmeticError):
+    """A safeguarded solver gave up: its iteration cap or bracket limit was reached."""

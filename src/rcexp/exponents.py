@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NoConvergence
 from .optimize import (
     concave_max_on_ray,
     golden_max,
     maximize_over_simplex,
+    newton_max,
     unimodal_max_01,
     unimodal_max_ray_reparam,
 )
@@ -128,7 +129,7 @@ def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
 
 
 def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
-                s_cap: float = S_CAP, rel_tol: float = 1e-10):
+                s_cap: float = S_CAP):
     """sup over s >= 0 of  -ln sum_x w(x) bracket_x(s)^rho  (concave in s).
 
     Returns (value, s_star); s_star is inf when the supremum is attained in
@@ -151,7 +152,7 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     # rows lie strictly inside the distortion level and others outside, so
     # the bracket must be allowed to run very far before giving up.
     res = concave_max_on_ray(lambda s: _e0_many(lnw, gap, lnq, rho, s),
-                             max(s_cap, S_CAP_HARD), rel_tol, vectorized=True)
+                             max(s_cap, S_CAP_HARD), vectorized=True)
     if res.at_upper:
         return max(res.value, _mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
     return max(res.value, 0.0), res.x
@@ -251,7 +252,7 @@ def _nonneg(value: float) -> float:
     return max(value, 0.0) + 0.0
 
 
-def _slope_solve(inner, rate: float, rho_cap: float | None = None, rel_tol: float = 1e-12):
+def _slope_solve(inner, rate: float, rho_cap: float | None = None):
     """sup over rho of inner(rho)[0] - rho * rate, with inner(rho) = (value, s).
 
     The slope ranges over [0, 1], or over [0, rho_cap] when a cap is given.
@@ -264,21 +265,100 @@ def _slope_solve(inner, rate: float, rho_cap: float | None = None, rel_tol: floa
         return inner(rho)[0] - rho * rate
 
     if rho_cap is None:
-        res = unimodal_max_01(outer, rel_tol)
+        res = unimodal_max_01(outer)
     else:
-        res = unimodal_max_ray_reparam(outer, rho_cap, rel_tol)
+        res = unimodal_max_ray_reparam(outer, rho_cap)
     value = _nonneg(res.value)
     rho_star = res.x if value > 0.0 else 0.0
     return value, rho_star, inner(rho_star)[1], res.at_upper
 
 
-def _tilt_max_01(lnw, gap, lnq, rho: float, rel_tol: float = 1e-10):
+def _tilt_max_01(lnw, gap, lnq, rho: float):
     """sup over s in [0, 1] of e0(s, rho): the bounded-tilt inner problem."""
     if rho <= 1e-14:
         return 0.0, 0.0
-    res = unimodal_max_01(lambda s: _e0_many(lnw, gap, lnq, rho, s), rel_tol,
+    res = unimodal_max_01(lambda s: _e0_many(lnw, gap, lnq, rho, s), rel_tol=1e-10,
                           vectorized=True)
     return res.value, res.x
+
+
+def _nested_max(lnw, gap, lnq, rate: float, rho_cap: float | None, s_hi: float):
+    """sup over rho in [0, rho_cap] (in [0, 1] without a cap) and s in
+    [0, s_hi] (``s_hi`` is 1 or inf) of e0(s, rho) - rho * rate, as
+    ``_slope_solve`` returns it."""
+    inner = _sup_e0_ray if s_hi == math.inf else _tilt_max_01
+    return _slope_solve(lambda rho: inner(lnw, gap, lnq, rho), rate, rho_cap)
+
+
+def _e0_derivs(lnw, gap, lnq, rho: float, s: float):
+    """e0(s, rho) and its partial derivatives at one point, in one pass.
+
+    With B_r(s) = sum_xhat q(xhat) e^{-s gap[r, xhat]}, mu_r and var_r the mean
+    and variance of gap[r, .] under row r's tilted codebook law (proportional
+    to q(xhat) e^{-s gap[r, xhat]}), and pi_r proportional to w_r B_r(s)^rho,
+    returns ``(e0, d_s / rho, d_ss / rho, d_rho, d_rhorho, d_srho)``:
+
+        d_s      = rho * sum pi mu
+        d_ss     = -rho * sum pi var - rho**2 * Var_pi(mu)
+        d_rho    = -sum pi ln B
+        d_rhorho = -Var_pi(ln B)
+        d_srho   = sum pi mu + rho * Cov_pi(ln B, mu)
+
+    The tilt derivatives come divided by rho, so at rho = 0 they are those of
+    d_rho e0(s, 0) = -sum w ln B(s), whose maximum over s is the slope of the
+    exponent at rho = 0+.
+    """
+    a = lnq - s * gap
+    m = a.max(axis=1)
+    t = np.exp(a - m[:, None])
+    z = t.sum(axis=1)
+    t /= z[:, None]
+    lnb = np.log(z) + m
+    mu = (t * gap).sum(axis=1)
+    dev = gap - mu[:, None]
+    var = (t * dev * dev).sum(axis=1)
+    u = lnw + rho * lnb
+    um = u.max()
+    pi = np.exp(u - um)
+    zp = pi.sum()
+    pi /= zp
+    pmu = float(pi @ mu)
+    plb = float(pi @ lnb)
+    dl = lnb - plb
+    dm = mu - pmu
+    return (-math.log(zp) - um, pmu, -float(pi @ var) - rho * float(pi @ (dm * dm)),
+            -plb, -float(pi @ (dl * dl)), pmu + rho * float(pi @ (dl * dm)))
+
+
+def _newton_nested_max(lnw, gap, lnq, rate: float, rho_cap: float | None, s_hi: float):
+    """``_nested_max`` by safeguarded Newton solves in both variables.
+
+    Each slope probe solves the tilt from the previous probe's optimal tilt.
+    By the envelope theorem the slope objective has derivative d_rho e0 - rate
+    at the optimal tilt, and curvature d_rhorho - d_srho**2 / d_ss where that
+    tilt is interior and d_ss < 0 (d_rhorho where it sits at a bound, where
+    e0 is flat in s, and at rho = 0, its limit as rho -> 0+).  Raises
+    NoConvergence when a safeguard of ``newton_max`` fires.
+    """
+    rho_hi = 1.0 if rho_cap is None else rho_cap
+    s_warm = 1.0
+
+    def slope(rho: float):
+        nonlocal s_warm
+
+        def tilt_derivs(s: float):
+            d = _e0_derivs(lnw, gap, lnq, rho, s)
+            return d[1], d[2], d
+
+        s, (_, _, (e0, _, dss, drho, drr, dsr)) = newton_max(tilt_derivs, 0.0, s_hi, s_warm)
+        s_warm = s
+        if 0.0 < s < s_hi and rho * dss < 0.0:
+            drr -= dsr * dsr / (rho * dss)
+        return drho - rate, drr, e0 - rho * rate, s
+
+    rho, (_, _, value, s) = newton_max(slope, 0.0, rho_hi, 1.0)
+    value = _nonneg(value) if rho > 0.0 else 0.0
+    return value, rho if value > 0.0 else 0.0, s, rho == rho_hi
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +366,17 @@ def _tilt_max_01(lnw, gap, lnq, rho: float, rel_tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 
 
-def _sup_exponent(lnw, gap, lnq, rate: float, rel_tol: float = 1e-12,
-                  tilt_tol: float = 1e-10) -> ExponentResult:
-    """sup over rho in [0, 1] of (sup_s e0(s, rho)) - rho * rate.
+def _sup_exponent(lnw, gap, lnq, rate: float, solve=_nested_max) -> ExponentResult:
+    """sup over rho in [0, 1] of (sup_s e0(s, rho)) - rho * rate, by ``solve``
+    (``_nested_max`` or ``_newton_nested_max``).
 
     +inf when the level lies below every distortion on the codebook support.
-    ``rel_tol`` and ``tilt_tol`` are the tolerances of the slope and tilt
-    solves.
     """
     m = float(gap.min())
     flags = frozenset({"at_D_min"}) if abs(m) <= FLAG_TOL else frozenset()
     if m > 1e-12:
         return ExponentResult(math.inf, boundary_flags=flags)
-    value, rho_star, s_star, _ = _slope_solve(
-        lambda rho: _sup_e0_ray(lnw, gap, lnq, rho, rel_tol=tilt_tol), rate, rel_tol=rel_tol)
+    value, rho_star, s_star, _ = solve(lnw, gap, lnq, rate, None, math.inf)
     return ExponentResult(value, rho_star, s_star, boundary_flags=flags)
 
 
@@ -486,38 +563,27 @@ def refine_inner_minima(source: Distribution, codebook: Distribution,
 # ---------------------------------------------------------------------------
 
 
-def _component_one(lnw, gap, lnq, rate: float, rho_cap: float | None,
-                   rel_tol: float = 1e-12, tilt_tol: float = 1e-10):
-    """sup over rho in [0, rho_cap] (in [0, 1] without a cap), s in [0, 1] of
-    e0(s, rho) - rho * rate, with the slope and tilt solved to ``rel_tol`` and
-    ``tilt_tol``."""
-    return _slope_solve(lambda rho: _tilt_max_01(lnw, gap, lnq, rho, tilt_tol), rate, rho_cap,
-                        rel_tol)
-
-
 def _first_component(lnw, gap, lnq, rate: float, boundary: float, rho_cap: float,
-                     rel_tol: float = 1e-12, tilt_tol: float = 1e-10):
-    """The tradeoff exponent's bounded-tilt component as ``_component_one``
-    returns it; +inf, with infinite optimizers, below the rate finiteness
-    ``boundary``."""
+                     solve=_nested_max):
+    """The tradeoff exponent's bounded-tilt component (s in [0, 1], rho in
+    [0, rho_cap]) as ``solve`` returns it; +inf, with infinite optimizers,
+    below the rate finiteness ``boundary``."""
     if rate < boundary - 1e-9:
         return math.inf, math.inf, math.inf, False
-    return _component_one(lnw, gap, lnq, rate, rho_cap, rel_tol, tilt_tol)
+    return solve(lnw, gap, lnq, rate, rho_cap, 1.0)
 
 
 def _tradeoff_parts(lnw, gap, lnq, rate: float, boundary: float, rho_cap: float,
-                    first_tol: float = 1e-12, second_tol: float = 1e-12,
-                    tilt_tol: float = 1e-10):
+                    solve=_nested_max):
     """The two components of the tradeoff exponent and the smaller one.
 
     Returns ``(first, second, (value, rho, s))``: the bounded-tilt component
     as ``_first_component`` returns it, the margin error exponent's
     ExponentResult, and the value and optimizers of the smaller component
-    (the first on a tie).  The slope solves run to ``first_tol`` and
-    ``second_tol`` and every tilt solve to ``tilt_tol``.
+    (the first on a tie).  Both components are solved by ``solve``.
     """
-    first = _first_component(lnw, gap, lnq, rate, boundary, rho_cap, first_tol, tilt_tol)
-    second = _sup_exponent(lnw, gap, lnq, rate, second_tol, tilt_tol)
+    first = _first_component(lnw, gap, lnq, rate, boundary, rho_cap, solve)
+    second = _sup_exponent(lnw, gap, lnq, rate, solve)
     if first[0] <= second.value:
         return first, second, first[:3]
     return first, second, (second.value, second.optimizer_rho, second.optimizer_s)
@@ -570,7 +636,7 @@ def forney_bound_exponent(q: Distribution, p: Channel, rate: float,
     Never exceeds the tradeoff exponent; coincides with it (and with the
     margin error exponent) for nonnegative levels.
     """
-    value, rho_star, s_star, _ = _component_one(*_channel_parts(q, p, level), rate, None)
+    value, rho_star, s_star, _ = _nested_max(*_channel_parts(q, p, level), rate, None, 1.0)
     return ExponentResult(value, rho_star, s_star)
 
 
@@ -585,42 +651,39 @@ _CHANNEL_KINDS = {
 }
 
 
-# The codebook search screens every law with the solvers below run to
-# _SCREEN_TOL, and solves exactly only the laws whose screened value is
-# within optimize.SCREEN_MARGIN (relative to max(1, |value|)) of the best.
-# Near a smooth maximum an optimizer off by _SCREEN_TOL moves the value by
-# about its square, so the screened values are far inside half the margin.
-_SCREEN_TOL = 1e-5
-
-
 def _screen_value(kind: str, q: Distribution, p: Channel, rate: float, level: float) -> float:
-    """The value of the ``kind`` exponent at codebook ``q``, with every slope
-    and tilt solve run to ``_SCREEN_TOL``: a cheap estimate for the search.
+    """The value of the ``kind`` exponent at codebook ``q`` by the Newton
+    solves of ``_newton_nested_max``: a cheap estimate for the search.
 
-    nan where the margin family's slope objective jumps at rho = 0.  With
-    s = t / rho, e0(s, rho) tends to -ln sum_r w_r e^{-t m_r} as rho -> 0+,
-    where m_r is the smallest gap of row r.  When sum_r w_r m_r > 0 that
-    limit is positive for some t, while the objective is 0 at rho = 0; the
-    supremum may then be the limit as rho -> 0+, and near the jump the
-    objective is so curved that the loose walk can miss the supremum by a
-    first-order amount.  This needs a negative level.
+    The search solves exactly only the laws whose screened value is within
+    ``optimize.SCREEN_MARGIN`` (relative to max(1, |value|)) of the best, so
+    the screen must err by less than half of it; Newton's method converges
+    to the optimizers in a few steps, and the value errs by rounding only.
+    The infinite level cut, the tradeoff exponent's finiteness cut and its
+    min-of-two rule are those of the exact solve.
+
+    nan where the screen cannot vouch for its value (the search then always
+    solves exactly): where a Newton safeguard fires, and where the margin
+    family's slope objective jumps at rho = 0.  With s = t / rho, e0(s, rho)
+    tends to -ln sum_r w_r e^{-t m_r} as rho -> 0+, where m_r is the smallest
+    gap of row r.  When sum_r w_r m_r > 0 that limit is positive for some t,
+    while the objective is 0 at rho = 0; the supremum may then be the limit
+    as rho -> 0+, where the optimal tilt is unbounded.  This needs a negative
+    level.
     """
     lnw, gap, lnq = _channel_parts(q, p, level)
-    tol = _SCREEN_TOL
-    if kind == "e-bound":
-        return _component_one(lnw, gap, lnq, rate, None, tol, tol)[0]
-    if kind == "error-extended":
-        second = _sup_exponent(lnw, gap, lnq, rate, tol, tol)
-        value = second.value
-    else:
-        # The first component's slope walk runs in u = rho / (1 + rho), which
-        # stretches an error in u by (1 + rho)**2 in rho, so it runs ten
-        # times finer.
-        _, second, (value, _, _) = _tradeoff_parts(
-            lnw, gap, lnq, rate, finiteness_boundary(q, p, level), RHO_CAP, tol / 10, tol, tol)
-    if math.isfinite(second.value) and float(np.exp(lnw) @ gap.min(axis=1)) > 0.0:
+    row_min = gap.min(axis=1)
+    if kind != "e-bound" and row_min.min() <= 1e-12 and float(np.exp(lnw) @ row_min) > 0.0:
         return math.nan
-    return value
+    try:
+        if kind == "e-bound":
+            return _newton_nested_max(lnw, gap, lnq, rate, None, 1.0)[0]
+        if kind == "error-extended":
+            return _sup_exponent(lnw, gap, lnq, rate, _newton_nested_max).value
+        return _tradeoff_parts(lnw, gap, lnq, rate, finiteness_boundary(q, p, level), RHO_CAP,
+                               _newton_nested_max)[2][0]
+    except NoConvergence:
+        return math.nan
 
 
 def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
@@ -632,11 +695,13 @@ def maximize_over_codebooks(p: Channel, rate: float, level: float, kind: str,
     short-circuits.  Scan order is deterministic.
 
     The search screens, then confirms: every law it visits first gets a
-    cheap value from the same solvers run to a loose tolerance, and only the
-    laws whose screened value is close enough to the best to win get the
-    exact solve (see ``maximize_over_simplex``).  The screen's error is far
-    below the margin, so the winner, every refinement step and the returned
-    result are those of solving every law exactly.  Each distinct law is
+    cheap value from ``_screen_value`` (Newton solves driven by the closed
+    form derivatives of e0), and only the laws whose screened value is close
+    enough to the best to win get the exact solve (see
+    ``maximize_over_simplex``).  The screen's error is far below the margin,
+    and a law it cannot vouch for (nan) is always solved exactly, so the
+    winner, every refinement step and the returned result are those of
+    solving every law exactly.  Each distinct law is
     solved once: the exact result of every confirmed law is kept under the
     law's bytes, and the returned result is the one computed for the best
     law.

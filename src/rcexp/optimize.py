@@ -20,6 +20,9 @@ call, and the endpoints of ``unimodal_max_01`` go with the first golden pair.
 objective computed, so it does not depend on the depth.  Neither do ``x``
 and ``value``, to the last bit, when the vectorized objective returns the
 bits the scalar one would.
+
+``newton_max`` is the exception: it takes the first two derivatives of the
+objective instead of its values, and counts nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoConvergence
 from .probability import simplex_grid_arrays
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -205,6 +209,60 @@ def _best_of_ends(res: ScalarMax, y0: float, hi: float, y_hi: float) -> ScalarMa
     if y_hi >= res.value:
         return ScalarMax(hi, y_hi, res.evaluations, at_upper=True)
     return res
+
+
+def newton_max(derivs, lo: float, hi: float, x0: float):
+    """Maximize a unimodal f on [lo, hi] (``hi`` may be inf) by safeguarded
+    Newton steps on f', starting from ``x0``.
+
+    ``derivs(x)`` returns a tuple whose first two entries are f'(x) and
+    f''(x).  Returns ``(x, derivs(x))`` at the maximizer: ``lo`` when
+    f'(lo) <= 0, ``hi`` when f'(hi) >= 0, else the point whose Newton step is
+    at most 1e-9 |x|.  The root of f' is kept in a bracket.  A Newton step
+    is replaced when it leaves the bracket, when f'' is not negative, or when
+    it turns back on a Newton step less than twice as long (where a kink in
+    f' would make the steps cycle): by a move to the endpoint on its side if
+    that has not been evaluated yet, else to the bracket's midpoint (twice
+    its lower end while it is unbounded).  Raises NoConvergence when f' is
+    nan, after 100 evaluations, or once the root is known to lie beyond 1e12.
+    """
+    a, b = lo, hi
+    a_seen = b_seen = False
+    x = min(max(x0, lo), hi)
+    last = 0.0
+    for _ in range(100):
+        ev = derivs(x)
+        g, c = ev[0], ev[1]
+        if g > 0.0:
+            if x >= hi:
+                return x, ev
+            a, a_seen = x, True
+        elif g < 0.0:
+            if x <= lo:
+                return x, ev
+            b, b_seen = x, True
+        elif g == 0.0:
+            return x, ev
+        else:
+            break
+        if a >= 1e12:
+            break
+        step = -g / c if c < 0.0 else math.nan
+        if abs(step) <= 1e-9 * abs(x):
+            return x, ev
+        if a < x + step < b and not (step * last < 0.0 and abs(step) > 0.5 * abs(last)):
+            x, last = x + step, step
+            continue
+        if g > 0.0 and not b_seen:
+            x = hi if hi < math.inf else min(2.0 * a if a > 0.0 else 1.0, 1e12)
+        elif g < 0.0 and not a_seen:
+            x = lo
+        elif b - a <= 1e-9 * abs(x):
+            return x, ev
+        else:
+            x = 0.5 * (a + b)
+        last = 0.0
+    raise NoConvergence(f"Newton solve on [{lo}, {hi}] stopped at {x}")
 
 
 @dataclass

@@ -491,6 +491,19 @@ def test_maximize_over_codebooks_confirms_both_tied_laws(monkeypatch):
          level=-0.20031992199616178, rate=0.7462487286056039)
 @example(inputs=3, outputs=2, seed=1524516134, kind="forney-tradeoff", denominator=6, law=7,
          level=-0.20574856641767697, rate=0.14089935500354553)
+# The Newton solve's edge regimes: a vertex law at level 0, where every gap
+# is 0 and the exact tilt solve takes its infinite-tilt (mass) limit; a
+# vertex law at a negative level, where e0 is linear in s and the bounded
+# tilt goes to the end its slope picks (rho* = s* = 1); a law with rho* = 1
+# and an interior tilt; and a law whose value is 0 (rho* = 0).
+@example(inputs=3, outputs=2, seed=7, kind="error-extended", denominator=4, law=0, level=0.0,
+         rate=0.0)
+@example(inputs=2, outputs=3, seed=11, kind="e-bound", denominator=3, law=0, level=-0.2,
+         rate=0.1)
+@example(inputs=3, outputs=3, seed=19, kind="error-extended", denominator=5, law=7, level=0.0,
+         rate=0.0)
+@example(inputs=2, outputs=2, seed=23, kind="e-bound", denominator=4, law=1, level=0.05,
+         rate=0.6)
 def test_screen_value_is_far_inside_the_margin(inputs, outputs, seed, kind, denominator, law,
                                                level, rate):
     # Every law of the grids the search scans, vertices and edges (codebook

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcexp.errors import NoConvergence
 from rcexp.exponents import _channel_parts, _e0_many, _source_parts
 from rcexp.optimize import (
     SCREEN_MARGIN,
@@ -13,6 +14,7 @@ from rcexp.optimize import (
     concave_max_on_ray,
     golden_max,
     maximize_over_simplex,
+    newton_max,
     unimodal_max_01,
 )
 from rcexp.probability import Channel, Distribution, DistortionModel
@@ -247,3 +249,74 @@ def test_screen_keeps_refinement_steps_smaller_than_the_margin(base, offset):
     assert want.point.tobytes() != grid_best.point.tobytes()
     assert got.point.tobytes() == want.point.tobytes()
     assert got.value.hex() == want.value.hex()
+
+
+# ---------------------------------------------------------------------------
+# The safeguarded Newton solver.
+# ---------------------------------------------------------------------------
+
+# (f' as a function of x, lo, hi, x0, the maximizer): an interior root, roots
+# beyond either end, an unbounded interval, a zero-curvature objective, and
+# f' = atan(5 - x), whose plain Newton iteration from 0 diverges.
+_NEWTON_CASES = [
+    (lambda x: 0.3 - x, 0.0, 1.0, 1.0, 0.3),
+    (lambda x: 2.0 - x, 0.0, 1.0, 0.5, 1.0),
+    (lambda x: -1.0 - x, 0.0, 1.0, 0.5, 0.0),
+    (lambda x: 1e5 - x, 0.0, math.inf, 1.0, 1e5),
+    (lambda x: 0.5, 0.0, 64.0, 1.0, 64.0),
+    (lambda x: math.atan(5.0 - x), 0.0, 100.0, 0.0, 5.0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_NEWTON_CASES)))
+def test_newton_max_finds_the_root_or_the_end(case):
+    fp, lo, hi, x0, want = _NEWTON_CASES[case]
+    h = 1e-6
+
+    def derivs(x):
+        return fp(x), (fp(x + h) - fp(x - h)) / (2 * h)
+
+    x, ev = newton_max(derivs, lo, hi, x0)
+    assert x == pytest.approx(want, rel=1e-9, abs=1e-12)
+    assert ev == derivs(x)
+
+
+@pytest.mark.parametrize("fp", [lambda x: 1.0, lambda x: math.nan])
+def test_newton_max_raises_when_a_safeguard_fires(fp):
+    # A slope that stays positive on an unbounded interval, and a nan slope.
+    with pytest.raises(NoConvergence):
+        newton_max(lambda x: (fp(x), 0.0), 0.0, math.inf, 1.0)
+
+
+def test_newton_max_breaks_alternating_steps():
+    # With f' = -sign(u) |u|**0.6, u = x - 0.7, every Newton step overshoots
+    # the root by two thirds of the distance to it, so plain Newton steps
+    # alternate sides and shrink only linearly (51 evaluations to converge);
+    # a step that turns back on one less than twice as long is replaced by
+    # bisection.
+    count = 0
+
+    def derivs(x):
+        nonlocal count
+        count += 1
+        u = x - 0.7
+        return -math.copysign(abs(u) ** 0.6, u), -0.6 * abs(u) ** -0.4 if u else -math.inf
+
+    x, _ = newton_max(derivs, 0.0, 1.0, 0.9)
+    assert x == pytest.approx(0.7, rel=1e-9)
+    assert count <= 30
+
+
+def test_newton_max_stops_at_a_warm_start_on_the_root():
+    # At the rounded root of f' = 0.2 - x**3, f' is -2.8e-17 and the Newton
+    # step is below an ulp of x: the solve must stop there, not bisect.
+    count = 0
+
+    def derivs(x):
+        nonlocal count
+        count += 1
+        return 0.2 - x ** 3, -3.0 * x * x
+
+    root = 0.2 ** (1 / 3)
+    assert newton_max(derivs, 0.0, 1.0, root)[0] == root
+    assert count == 1
