@@ -31,7 +31,8 @@ from .optimize import (
 )
 from .probability import Channel, Distribution, DistortionModel, mutual_information
 from .rates import DIV_TOL, S_CAP, S_CAP_HARD, finiteness_boundary
-from .rates import _input_logs, _lse, _lse_rows, _margin_gap, _restrict
+from .rates import _input_logs, _ln_brackets, _ln_masses, _lse, _lse_rows, _margin_gap
+from .rates import _restrict, _row_rate_max
 
 RHO_CAP = 64.0
 FLAG_TOL = 1e-6
@@ -80,16 +81,6 @@ class ExponentResult:
 # ---------------------------------------------------------------------------
 
 
-def _lse_flat(a: np.ndarray) -> float:
-    m = a.max()
-    return float(np.log(np.exp(a - m).sum()) + m)
-
-
-def _ln_bracket(lnq: np.ndarray, gap: np.ndarray, s: float) -> np.ndarray:
-    """ln sum_xhat q(xhat) e^{-s gap[x, xhat]} for every row x."""
-    return _lse_rows(lnq[None, :] - s * gap)
-
-
 def _e0_many(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray,
              rho: float, s: np.ndarray) -> np.ndarray:
     """-ln sum_x w(x) bracket_x(s)^rho at every tilt in ``s``, all in log space.
@@ -118,18 +109,13 @@ def _e0_many(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray,
     return np.negative(v, v)
 
 
-def _mass_limit(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
-                keep: np.ndarray) -> float:
-    """Infinite-tilt limit  -ln sum_{x in keep} w(x) mass_x^rho, where mass_x is
-    the codebook mass of the letters meeting the distortion level in row x."""
-    feas = gap <= 1e-12
-    with np.errstate(divide="ignore"):
-        ln_mass = np.log(np.where(feas, np.exp(lnq)[None, :], 0.0).sum(axis=1))
-    return float(-_lse(lnw[keep] + rho * ln_mass[keep]))
+def _mass_limit(lnw: np.ndarray, ln_feas: np.ndarray, rho: float, keep: np.ndarray) -> float:
+    """Infinite-tilt limit  -ln sum_{x in keep} w(x) mass_x^rho, where ln mass_x
+    is the feasible mass ``ln_feas`` of ``rates._ln_masses``."""
+    return float(-_lse(lnw[keep] + rho * ln_feas[keep]))
 
 
-def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
-                s_cap: float = S_CAP):
+def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float):
     """sup over s >= 0 of  -ln sum_x w(x) bracket_x(s)^rho  (concave in s).
 
     Returns (value, s_star); s_star is inf when the supremum is attained in
@@ -143,7 +129,7 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
         return math.inf, math.inf
     if m >= -DIV_TOL:
         # Nondecreasing in the tilt; supremum attained in the limit.
-        return max(_mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
+        return max(_mass_limit(lnw, _ln_masses(gap, lnq)[0], rho, dmin <= DIV_TOL), 0.0), math.inf
     slope0 = rho * float(np.dot(np.exp(lnw), gap @ np.exp(lnq)))
     if slope0 <= 0.0:
         return 0.0, 0.0
@@ -152,9 +138,10 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float,
     # rows lie strictly inside the distortion level and others outside, so
     # the bracket must be allowed to run very far before giving up.
     res = concave_max_on_ray(lambda s: _e0_many(lnw, gap, lnq, rho, s),
-                             max(s_cap, S_CAP_HARD), vectorized=True)
+                             S_CAP_HARD, vectorized=True)
     if res.at_upper:
-        return max(res.value, _mass_limit(lnw, gap, lnq, rho, dmin <= 1e-12), 0.0), math.inf
+        limit = _mass_limit(lnw, _ln_masses(gap, lnq)[0], rho, dmin <= DIV_TOL)
+        return max(res.value, limit, 0.0), math.inf
     return max(res.value, 0.0), res.x
 
 
@@ -162,10 +149,11 @@ def _tilt_scan(gap: np.ndarray, lnq: np.ndarray):
     """The rho-free half of the envelope's tilt scan.
 
     Returns the 512-point grid s in {0} U [1e-4, S_CAP] (log-spaced above
-    zero) and the (grid, rows) table of ln bracket_x(s) on it.
+    zero), the (grid, rows) table of ln bracket_x(s) on it, and each row's
+    ln feasible mass, which fixes the limit at infinite tilt.
     """
     grid = np.concatenate([[0.0], np.geomspace(1e-4, S_CAP, 511)])
-    return grid, _lse(lnq[None, None, :] - grid[:, None, None] * gap[None, :, :])
+    return grid, _ln_brackets(gap, lnq, grid), _ln_masses(gap, lnq)[0]
 
 
 def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, scan):
@@ -179,7 +167,7 @@ def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, s
     """
     if rho <= 1e-14:
         return 0.0, 0.0
-    grid, lnb = scan
+    grid, lnb, ln_feas = scan
     vals = -_lse(lnw[None, :] - rho * lnb)
 
     best_val = float(vals[0])
@@ -197,8 +185,8 @@ def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, s
             best_val, best_s = -res.value, res.x
 
     dmin = gap.min(axis=1)
-    if float(dmin.max()) >= -1e-12:
-        limit = _mass_limit(lnw, gap, lnq, -rho, dmin >= -1e-12)
+    if float(dmin.max()) >= -DIV_TOL:
+        limit = _mass_limit(lnw, ln_feas, -rho, dmin >= -DIV_TOL)
         if limit < best_val:
             best_val, best_s = limit, math.inf
     return best_val, best_s
@@ -239,7 +227,7 @@ def gallager_e0(s: float, rho: float, q: Distribution, p: Channel,
     -ln sum_{x,y} q(x) p(y|x) [ sum_xhat q(xhat) (p(y|x)/(p(y|xhat)) e^{-level})^{-s} ]^rho
     """
     lnw, gap, lnq = _channel_parts(q, p, level)
-    return float(-_lse(lnw + rho * _ln_bracket(lnq, gap, s)))
+    return float(-_lse(lnw + rho * _lse_rows(lnq[None, :] - s * gap)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +362,7 @@ def _sup_exponent(lnw, gap, lnq, rate: float, solve=_nested_max) -> ExponentResu
     """
     m = float(gap.min())
     flags = frozenset({"at_D_min"}) if abs(m) <= FLAG_TOL else frozenset()
-    if m > 1e-12:
+    if m > DIV_TOL:
         return ExponentResult(math.inf, boundary_flags=flags)
     value, rho_star, s_star, _ = solve(lnw, gap, lnq, rate, None, math.inf)
     return ExponentResult(value, rho_star, s_star, boundary_flags=flags)
@@ -401,15 +389,16 @@ def margin_error_exponent(q: Distribution, p: Channel, rate: float,
     return _sup_exponent(*_channel_parts(q, p, level), rate)
 
 
+def _collapsed_e0(lnq: np.ndarray, lnp: np.ndarray, t: float) -> float:
+    """Gallager's collapsed generating function  -ln sum_y (sum_x q(x) p(y|x)^(1/t))^t."""
+    return float(-_lse_rows(t * _lse_rows((lnq[:, None] + lnp / t).T)))
+
+
 def gallager_error_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult:
     """Classical random-coding error exponent in its collapsed one-parameter form."""
     lnq, lnp = _input_logs(q, p)
-
-    def e0(rho: float):
-        inner = _lse_rows((lnq[:, None] + lnp / (1.0 + rho)).T)
-        return -_lse_flat((1.0 + rho) * inner), None
-
-    value, rho_star, _, _ = _slope_solve(e0, rate)
+    value, rho_star, _, _ = _slope_solve(
+        lambda rho: (_collapsed_e0(lnq, lnp, 1.0 + rho), None), rate)
     return ExponentResult(value, rho_star)
 
 
@@ -423,8 +412,7 @@ def correct_exponent(q: Distribution, p: Channel, rate: float) -> ExponentResult
     lnq, lnp = _input_logs(q, p)
 
     def outer(rho: float) -> float:
-        inner = _lse_rows((lnq[:, None] + lnp / (1.0 - rho)).T)
-        return -_lse_flat((1.0 - rho) * inner) + rho * rate
+        return _collapsed_e0(lnq, lnp, 1.0 - rho) + rho * rate
 
     hi = 1.0 - 1e-9
     res = golden_max(outer, 0.0, hi, rel_tol=1e-13, max_iter=240)
@@ -468,7 +456,7 @@ def failure_envelope(source: Distribution, codebook: Distribution,
     limited by ``rho_cap`` and flagged.
     """
     lnw, gap, lnq = _source_parts(source, codebook, d, level)
-    if float(gap.min(axis=1).max()) > 1e-12:
+    if float(gap.min(axis=1).max()) > DIV_TOL:
         return _TRIVIAL_ENVELOPE
     return _envelope_exponent(lnw, gap, lnq, rate, rho_cap)
 
@@ -485,18 +473,6 @@ def correct_envelope(q: Distribution, p: Channel, rate: float, level: float,
     return _envelope_exponent(*_channel_parts(q, p, level), rate, rho_cap)
 
 
-def _row_rate_max(gap: np.ndarray, lnq: np.ndarray) -> float:
-    """Largest per-row dual rate: the rate ceiling of the envelope formulas."""
-    best = 0.0
-    for x in range(gap.shape[0]):
-        row = gap[x:x + 1]
-        if float(row.min()) > DIV_TOL:
-            return math.inf
-        value, _ = _sup_e0_ray(np.array([0.0]), row, lnq, 1.0)
-        best = max(best, value)
-    return best
-
-
 def failure_inner_curve(source: Distribution, codebook: Distribution,
                         d: DistortionModel, level: float, rho: float,
                         s_values: np.ndarray) -> np.ndarray:
@@ -507,8 +483,7 @@ def failure_inner_curve(source: Distribution, codebook: Distribution,
     """
     lnw, gap, lnq = _source_parts(source, codebook, d, level)
     s_vec = np.asarray(s_values, dtype=float)
-    lnb = _lse(lnq[None, None, :] - s_vec[:, None, None] * gap[None, :, :])
-    return -_lse(lnw[None, :] - rho * lnb)
+    return -_lse(lnw[None, :] - rho * _ln_brackets(gap, lnq, s_vec))
 
 
 def failure_tangency_law(source: Distribution, codebook: Distribution,
@@ -520,7 +495,7 @@ def failure_tangency_law(source: Distribution, codebook: Distribution,
     the tangency rate of the slope-rho supporting line.
     """
     lnw, gap, lnq = _source_parts(source, codebook, d, level)
-    ln_t = lnw - rho * _ln_bracket(lnq, gap, s)
+    ln_t = lnw - rho * _lse_rows(lnq[None, :] - s * gap)
     ln_t -= _lse(ln_t)
     probs = np.zeros(source.alphabet_size)
     probs[source.probs > 0.0] = np.exp(ln_t)
@@ -673,7 +648,7 @@ def _screen_value(kind: str, q: Distribution, p: Channel, rate: float, level: fl
     """
     lnw, gap, lnq = _channel_parts(q, p, level)
     row_min = gap.min(axis=1)
-    if kind != "e-bound" and row_min.min() <= 1e-12 and float(np.exp(lnw) @ row_min) > 0.0:
+    if kind != "e-bound" and row_min.min() <= DIV_TOL and float(np.exp(lnw) @ row_min) > 0.0:
         return math.nan
     try:
         if kind == "e-bound":

@@ -8,7 +8,7 @@ Schema (all fields optional; commands validate that what they need is there):
       "codebook":         [q1, q2, ...],
       "distortion":       [[...], ...],          numeric matrix, or
       "distortion_units": [[...], ...],          coefficients of ln((1-p)/p)
-      "p":                0.22,                  scalar parameter for the unit
+      "p":                0.22,                  scalar parameter for the unit, in (0, 1)
       "d_scale_values":   [...],                 distortion levels in units
       "normalize":        true                   renormalize rounded tables
     }
@@ -68,45 +68,47 @@ def parse_model(data: dict) -> ModelSpec:
         raise ModelSpecError(f"unknown model spec fields: {sorted(unknown)}")
     normalize = bool(data.get("normalize", False))
 
-    def vector(name):
+    def field(name, convert=lambda value: np.asarray(value, dtype=float)):
+        # None when absent; a value that does not convert is a spec error.
         if name not in data:
             return None
-        arr = np.asarray(data[name], dtype=float)
-        if normalize and arr.ndim == 1 and arr.sum() > 0:
-            arr = arr / arr.sum()
         try:
-            return Distribution(arr)
-        except Exception as exc:
+            return convert(data[name])
+        except (TypeError, ValueError) as exc:
             raise ModelSpecError(f"invalid {name!r}: {exc}") from exc
 
-    source = vector("source")
-    codebook = vector("codebook")
+    def vector(value):
+        arr = np.asarray(value, dtype=float)
+        if normalize and arr.ndim == 1 and arr.sum() > 0:
+            arr = arr / arr.sum()
+        return Distribution(arr)
 
-    channel = None
-    if "channel" in data:
-        arr = np.asarray(data["channel"], dtype=float)
+    def matrix(value):
+        arr = np.asarray(value, dtype=float)
         if normalize and arr.ndim == 2:
             arr = arr / arr.sum(axis=1, keepdims=True)
-        try:
-            channel = Channel(arr)
-        except Exception as exc:
-            raise ModelSpecError(f"invalid 'channel': {exc}") from exc
+        return Channel(arr)
 
-    p_param = float(data["p"]) if "p" in data else None
+    source, codebook = field("source", vector), field("codebook", vector)
+    channel = field("channel", matrix)
+    p = field("p", float)
+    if p is not None and not 0.0 < p < 1.0:
+        raise ModelSpecError(f"'p' must lie strictly between 0 and 1, got {p!r}")
 
     distortion = None
     if "distortion" in data and "distortion_units" in data:
         raise ModelSpecError("give either 'distortion' or 'distortion_units', not both")
     if "distortion" in data:
-        distortion = DistortionModel(np.asarray(data["distortion"], dtype=float))
+        distortion = DistortionModel(field("distortion"))
     elif "distortion_units" in data:
-        if p_param is None:
+        if p is None:
             raise ModelSpecError("'distortion_units' requires the scalar 'p'")
-        unit = math.log((1.0 - p_param) / p_param)
-        distortion = DistortionModel(np.asarray(data["distortion_units"], dtype=float) * unit)
+        distortion = DistortionModel(field("distortion_units") * math.log((1.0 - p) / p))
 
-    scales = tuple(float(v) for v in data["d_scale_values"]) if "d_scale_values" in data else None
-    return ModelSpec(source, channel, codebook, distortion, p_param, scales)
+    scales = field("d_scale_values", lambda values: tuple(float(v) for v in values))
+    if scales is not None and not all(map(math.isfinite, scales)):
+        raise ModelSpecError(f"'d_scale_values' must be finite, got {list(scales)}")
+    return ModelSpec(source, channel, codebook, distortion, p, scales)
 
 
 def load_model(path: str) -> ModelSpec:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .optimize import concave_max_on_ray, golden_max
+from .optimize import _INV_PHI, _INV_PHI2, concave_max_on_ray, golden_max
 from .probability import (
     Channel,
     Distribution,
@@ -36,6 +36,9 @@ S_CAP = 2.0 ** 16
 # one over the outer slope variable); the doubling bracket is allowed to run
 # this far before the supremum is declared attained-in-the-limit.
 S_CAP_HARD = 1e16
+# The slack of every gap (distortion minus level) decision: a gap <= DIV_TOL
+# meets the level, a letter within DIV_TOL of its row's minimum is tight, and
+# a terminal slope (weighted row minimum) above DIV_TOL diverges.
 DIV_TOL = 1e-12
 # How close to sigma = 1 the coupled solver is allowed to evaluate; closer
 # amplifies cancellation error in G(sigma) / (1 - sigma).
@@ -126,37 +129,32 @@ def _restrict(q: Distribution, d: DistortionModel):
     return d.values[:, sup], np.log(q.probs[sup])
 
 
-def _feasible_limit(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray) -> float:
-    """Upper bound on the dual objective: -sum_x w(x) ln Q({d(x,.) <= level}).
-
-    Used when the bracket search gives up while still increasing; -inf when a
-    weighted row has no feasible letter (no candidate then).
-    """
-    value = 0.0
-    for x in np.flatnonzero(weights > 0.0):
-        feas = dgap[x] <= 1e-12
-        if not np.any(feas):
-            return -math.inf
-        value -= weights[x] * _lse(lnq[feas])
-    return float(value)
+def _ln_brackets(gap: np.ndarray, lnq: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (tilts, rows) table of brackets ln sum_xhat q(xhat) e^{-s gap[x, xhat]}."""
+    return _lse(lnq[None, None, :] - s[:, None, None] * gap[None, :, :])
 
 
-def _tight_limit(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray) -> float:
-    """Exact infinite-tilt limit when the terminal slope vanishes.
-
-    Each row concentrates on its own distortion minimizers, so the limit is
-    -sum_x w(x) ln Q({xhat : d(x, xhat) = min d(x, .)}), regardless of how the
-    per-row minima straddle the level.
-    """
-    value = 0.0
-    for x in np.flatnonzero(weights > 0.0):
-        tight = dgap[x] <= dgap[x].min() + 1e-12
-        value -= weights[x] * _lse(lnq[tight])
-    return float(value)
+def _ln_masses(gap: np.ndarray, lnq: np.ndarray):
+    """ln codebook mass of each row's feasible letters (gap <= DIV_TOL; -inf if
+    none) and of its tight letters (within DIV_TOL of the row's minimum)."""
+    q_row = np.exp(lnq)[None, :]
+    with np.errstate(divide="ignore"):
+        ln_feas = np.log(np.where(gap <= DIV_TOL, q_row, 0.0).sum(axis=1))
+    tight = gap <= gap.min(axis=1, keepdims=True) + DIV_TOL
+    return ln_feas, np.log(np.where(tight, q_row, 0.0).sum(axis=1))
 
 
-def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray,
-              s_cap: float = S_CAP, rel_tol: float = 1e-10):
+def _dual_limit(t_batch: np.ndarray, ln_feas: np.ndarray, ln_tight: np.ndarray) -> np.ndarray:
+    """Each law's (row of ``t_batch``) dual at infinite tilt: the feasible-mass
+    bound -sum t ln_feas, or for a law weighting a row with no feasible letter
+    the tight-mass form -sum t ln_tight, exact at zero terminal slope."""
+    weighted = t_batch > 0.0
+    feasible = np.isfinite(ln_feas)
+    limit = -np.where(weighted, t_batch * np.where(feasible, ln_feas, 0.0), 0.0).sum(axis=1)
+    return np.where((weighted & ~feasible).any(axis=1), -t_batch @ ln_tight, limit)
+
+
+def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray, s_cap: float = S_CAP):
     """sup over s >= 0 of -sum_x w(x) lse_xhat(lnq - s * dgap[x, :]).
 
     Returns (value, s_star, evaluations).  ``dgap`` already has the
@@ -166,14 +164,16 @@ def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray,
     w = weights[active]
     gap = dgap[active]
 
+    def limit() -> float:  # rate_values_batch's limit on a batch of one law, zero made +0.0
+        return float(_dual_limit(weights[None, :], *_ln_masses(dgap, lnq))[0]) + 0.0
+
     slope_inf = float(np.dot(w, gap.min(axis=1)))
     if slope_inf > DIV_TOL:
         return math.inf, math.inf, 0
     if slope_inf >= -DIV_TOL:
         # Terminal slope zero: the concave objective is nondecreasing, so the
         # supremum is the analytic limit at infinite tilt.
-        limit = _tight_limit(weights, dgap, lnq)
-        return max(limit, 0.0), math.inf, 0
+        return max(limit(), 0.0), math.inf, 0
 
     slope_zero = float(np.dot(w, np.exp(lnq) @ gap.T))
     if slope_zero <= 0.0:
@@ -186,14 +186,9 @@ def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray,
     # escalate the bracket beyond the nominal cap if the objective is still
     # rising there (the maximizer can be astronomically large when the
     # terminal slope is tiny).
-    res = concave_max_on_ray(g, max(s_cap, S_CAP_HARD), rel_tol=rel_tol)
+    res = concave_max_on_ray(g, max(s_cap, S_CAP_HARD), rel_tol=1e-10)
     if res.at_upper:
-        # Both limit formulas bound the supremum from above; the feasible-mass
-        # one is tighter but degenerates when a row straddles the level.
-        limit = _feasible_limit(weights, dgap, lnq)
-        if not math.isfinite(limit):
-            limit = _tight_limit(weights, dgap, lnq)
-        return max(res.value, limit, 0.0), math.inf, res.evaluations
+        return max(res.value, limit(), 0.0), math.inf, res.evaluations
     return max(res.value, 0.0), res.x, res.evaluations
 
 
@@ -205,6 +200,8 @@ def rate_function(t, q: Distribution, d: DistortionModel, level: float,
     match a channel-induced distortion matrix), or a raw probability vector.
     Returns +inf exactly when no kernel supported on the codebook meets the
     distortion constraint, i.e. when sum_x t(x) min_xhat d(x, xhat) > level.
+    The tilt search runs up to max(s_cap, S_CAP_HARD), so ``s_cap`` only
+    matters above S_CAP_HARD (1e16).
     """
     weights = _weights_of(t)
     if weights.shape[0] != d.source_size:
@@ -214,8 +211,7 @@ def rate_function(t, q: Distribution, d: DistortionModel, level: float,
     dsub, lnq = _restrict(q, d)
     dmin_restricted = float(dsub[weights > 0.0].min()) if np.any(weights > 0.0) else 0.0
     value, s_star, evals = _sup_dual(weights, dsub - level, lnq, s_cap=s_cap)
-    return RateResult(value, s_star, evals,
-                      at_d_min=abs(level - dmin_restricted) <= 1e-12)
+    return RateResult(value, s_star, evals, at_d_min=abs(level - dmin_restricted) <= DIV_TOL)
 
 
 def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
@@ -232,7 +228,7 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
     have not diverged, rise at zero tilt and did not close their bracket at
     the cap.  The others' values are settled without it (+inf, zero, or the
     limit at infinite tilt), so every value has the bits of running all laws
-    through both stages.
+    through both stages.  ``s_cap`` only matters above S_CAP_HARD (1e16).
     """
     t_batch = np.asarray(t_batch, dtype=float)
     dsub, lnq = _restrict(q, d)
@@ -242,12 +238,7 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
     slope_inf = t_batch @ dmin
     diverged = slope_inf > DIV_TOL
 
-    qsub = np.exp(lnq)
-    slope_zero = t_batch @ (gap @ qsub)
-
-    def brackets(s_vec: np.ndarray) -> np.ndarray:
-        """ln sum_xhat q(xhat) e^{-s gap[x, xhat]} at every tilt: (tilts, rows)."""
-        return _lse(lnq[None, None, :] - s_vec[:, None, None] * gap[None, :, :])
+    slope_zero = t_batch @ (gap @ np.exp(lnq))
 
     def weigh(t: np.ndarray, ln_brackets: np.ndarray) -> np.ndarray:
         return -np.einsum("nx,nx->n", t, ln_brackets)
@@ -260,7 +251,7 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
     # Each law weighs a contiguous copy of the shared row, so the einsum sums
     # it exactly as it sums rows of per-law brackets.
     vals = np.stack([weigh(t_batch, np.broadcast_to(row, t_batch.shape).copy())
-                     for row in brackets(probes)])  # (P, n)
+                     for row in _ln_brackets(gap, lnq, probes)])  # (P, n)
 
     best = vals.max(axis=0)
     # First probe index where the objective stops increasing.
@@ -278,14 +269,12 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
         a = probes[lo_idx[live]]
         b = probes[hi_idx[live]]
         top = best[live]
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
         for _ in range(golden_iters):
             h = b - a
-            c = a + inv_phi2 * h
-            dd = a + inv_phi * h
-            yc = weigh(t_live, brackets(c))
-            yd = weigh(t_live, brackets(dd))
+            c = a + _INV_PHI2 * h
+            dd = a + _INV_PHI * h
+            yc = weigh(t_live, _ln_brackets(gap, lnq, c))
+            yd = weigh(t_live, _ln_brackets(gap, lnq, dd))
             top = np.maximum(top, np.maximum(yc, yd))
             take_left = yc > yd
             b = np.where(take_left, dd, b)
@@ -293,27 +282,21 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
         best[live] = top
 
     # Laws whose objective was still increasing at the cap attain the
-    # supremum in the limit; use the feasible-mass formula there.
+    # supremum in the limit.
     if np.any(still):
-        qsub_row = np.exp(lnq)[None, :]
-        feas = gap <= 1e-12
-        tight = gap <= gap.min(axis=1, keepdims=True) + 1e-12
-        with np.errstate(divide="ignore"):
-            ln_feas = np.log(np.where(feas, qsub_row, 0.0).sum(axis=1))
-        ln_tight = np.log(np.where(tight, qsub_row, 0.0).sum(axis=1))
-        # Prefer the feasible-mass limit; fall back to the exact tight-set
-        # limit for laws weighting a row with no feasible letter.
-        finite_ln = np.where(np.isfinite(ln_feas), ln_feas, 0.0)
-        limit = -np.where(t_batch > 0.0, t_batch * finite_ln[None, :], 0.0).sum(axis=1)
-        straddles = ((t_batch > 0.0) & ~np.isfinite(ln_feas)[None, :]).any(axis=1)
-        limit_tight = -t_batch @ ln_tight
-        limit = np.where(straddles, limit_tight, limit)
-        best = np.where(still, np.maximum(best, limit), best)
+        best = np.where(still, np.maximum(best, _dual_limit(t_batch, *_ln_masses(gap, lnq))), best)
 
     values = np.maximum(best, 0.0)
     values[slope_zero <= 0.0] = 0.0
     values[diverged] = math.inf
     return values
+
+
+def _sigma_max(big_g):
+    """Golden section of G(sigma) / (1 - sigma) on [0, SIGMA_MAX]: a coupled
+    dual sup over mu >= 0, in the compactified variable sigma = mu / (1 + mu)."""
+    return golden_max(lambda sigma: big_g(sigma) / (1.0 - sigma), 0.0, SIGMA_MAX,
+                      rel_tol=1e-12, max_iter=240)
 
 
 def coupled_rate_function(t: JointDistribution, q: Distribution,
@@ -341,15 +324,9 @@ def coupled_rate_function(t: JointDistribution, q: Distribution,
     if g_one > DIV_TOL:
         return RateResult(math.inf, math.inf, 1)
 
-    def phi(sigma: float) -> float:
-        return big_g(sigma) / (1.0 - sigma)
-
-    res = golden_max(phi, 0.0, SIGMA_MAX, rel_tol=1e-12, max_iter=240)
+    res = _sigma_max(big_g)
     value = max(res.value, 0.0)
-    sigma = res.x
-    mu = sigma / (1.0 - sigma)
-    if value == 0.0:
-        mu = 0.0
+    mu = 0.0 if value == 0.0 else res.x / (1.0 - res.x)
     return RateResult(value, mu, res.evaluations + 1)
 
 
@@ -361,12 +338,14 @@ def max_rate_over_sources(q: Distribution, d: DistortionModel, level: float) -> 
     affect the value.
     """
     dsub, lnq = _restrict(q, d)
+    return _row_rate_max(dsub - level, lnq)
+
+
+def _row_rate_max(gap: np.ndarray, lnq: np.ndarray) -> float:
+    """Largest single-row dual, row by row through ``_sup_dual``."""
     best = 0.0
-    for x in range(dsub.shape[0]):
-        w = np.array([1.0])
-        value, _, _ = _sup_dual(w, (dsub[x] - level)[None, :], lnq)
-        if value > best:
-            best = value
+    for row in gap:
+        best = max(best, _sup_dual(np.array([1.0]), row[None, :], lnq)[0])
         if math.isinf(best):
             return math.inf
     return best
@@ -438,11 +417,10 @@ def min_rate_boundary(q: Distribution, p: Channel, level: float,
     def min_coupled(delta: float) -> float:
         gap, lnq = _margin_gap(q, p, delta)
 
-        def phi(sigma: float) -> float:
-            return float(-_lse_rows(lnq[None, :] - sigma * gap).max()) / (1.0 - sigma)
+        def big_g(sigma: float) -> float:
+            return float(-_lse_rows(lnq[None, :] - sigma * gap).max())
 
-        res = golden_max(phi, 0.0, SIGMA_MAX, rel_tol=1e-12, max_iter=240)
-        return max(res.value, phi(0.0))
+        return max(_sigma_max(big_g).value, big_g(0.0))
 
     def feasible(r: float) -> bool:
         return min_coupled(level + r) <= r + 1e-12

@@ -59,6 +59,32 @@ def test_validation_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+_BINARY_MODEL = {"source": [0.5, 0.5], "codebook": [0.5, 0.5],
+                 "distortion": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("fields, flags", [
+    ({"source": [0.5, "x"]}, ()),
+    ({"distortion": [[0, 1], [1]]}, ()),
+    ({"p": "abc"}, ()),
+    ({"distortion": None, "distortion_units": [[0, 1], [1, 0]], "p": 0}, ()),
+    ({"d_scale_values": ["a"]}, ()),
+    ({"d_scale_values": [0.1, "nan"]}, ()),
+    ({"p": 1.5}, ("--scaled",)),
+], ids=["source-entry", "ragged-distortion", "p-string", "p-zero-units",
+        "scale-entry", "scale-nan", "p-above-one-scaled"])
+def test_model_spec_conversion_errors_exit_2(tmp_path, capsys, fields, flags):
+    model = {k: v for k, v in {**_BINARY_MODEL, **fields}.items() if v is not None}
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(model))
+    code, _, err = run_cli(capsys, "compute", str(spec), "--kind", "success",
+                           "--R", "0.1", "--D", "0.2", *flags)
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
 def test_dimension_mismatch_exit_code(tmp_path, capsys):
     spec = tmp_path / "model.json"
     spec.write_text(json.dumps({

@@ -5,7 +5,9 @@ shares its doubling probes across laws and refines only the live ones; the
 envelope exponents compute their tilt scan once per call; and
 ``finiteness_boundary`` takes the vectorized golden walk.  Each is compared
 here with ``==`` on the float bits against scipy or against a plain copy of
-the earlier code.
+the earlier code.  The scalar and the batched rate dual share one
+infinite-tilt limit, and ``_lse_rows`` took over from a 1-D log-sum-exp;
+both merges are pinned here too.
 """
 
 import math
@@ -21,7 +23,7 @@ from scipy.special import logsumexp
 
 import rcexp
 from conftest import fig_path
-from rcexp import exponents
+from rcexp import exponents, rates
 from rcexp.exponents import (
     _TIE_TOL,
     _e0_many,
@@ -30,7 +32,7 @@ from rcexp.exponents import (
     refine_inner_minima,
 )
 from rcexp.modelspec import load_model
-from rcexp.optimize import golden_max
+from rcexp.optimize import ScalarMax, golden_max
 from rcexp.probability import (
     Channel,
     Distribution,
@@ -41,11 +43,15 @@ from rcexp.rates import (
     DIV_TOL,
     S_CAP,
     S_CAP_HARD,
+    _dual_limit,
+    _ln_masses,
     _lse,
     _lse_rows,
     _margin_gap,
     _restrict,
     finiteness_boundary,
+    max_rate_over_sources,
+    rate_function,
     rate_values_batch,
 )
 
@@ -110,6 +116,83 @@ def test_lse_edge_rows(row):
     assert _same_bits(_lse(a), logsumexp(a))
     batch = np.stack([a, a])
     assert _same_bits(_lse(batch), logsumexp(batch, axis=-1))
+
+
+def _reference_lse_flat(a):
+    """The earlier exponents._lse_flat, the 1-D form ``_lse_rows`` replaced."""
+    m = a.max()
+    return float(np.log(np.exp(a - m).sum()) + m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(row=st.lists(st.one_of(st.floats(-800.0, 800.0), st.just(-math.inf)),
+                    min_size=1, max_size=40))
+def test_lse_rows_on_1d_input_has_the_bits_of_lse_flat(row):
+    a = np.array(row)
+    with np.errstate(invalid="ignore"):  # an all -inf row gives nan in both
+        assert _same_bits(_lse_rows(a), _reference_lse_flat(a))
+
+
+# ---------------------------------------------------------------------------
+# One infinite-tilt limit for the scalar and the batched rate dual.
+# ---------------------------------------------------------------------------
+
+_Q2 = Distribution(np.array([0.3, 0.7]))
+_HALVES = np.array([0.5, 0.5])
+
+
+def _rising_brackets(gap, lnq, s):
+    """Brackets whose dual objective rises at every probe, so that every law of
+    rate_values_batch is still increasing at the cap and takes the limit."""
+    return np.broadcast_to(-1e-300 * s[:, None], (s.size, gap.shape[0])).copy()
+
+
+@pytest.mark.parametrize("gaps, straddles", [
+    ([[0.0, 0.5], [0.0, 0.25]], False),  # zero terminal slope, every row feasible
+    ([[-0.5, 0.5], [0.5, 1.0]], True),   # zero terminal slope, row 2 infeasible
+    ([[-1.0, 0.5], [-0.25, 1.0]], False),
+    ([[-1.0, 0.5], [0.25, 1.0]], True),
+])
+def test_scalar_and_batched_limits_are_bit_identical(monkeypatch, gaps, straddles):
+    """rate_function's limit (its zero-terminal-slope branch, or the cap branch
+    of a search still rising at the cap) has the bits of rate_values_batch's
+    limit on the same law."""
+    d = DistortionModel(np.array(gaps))
+    dsub, lnq = _restrict(_Q2, d)
+    zero_slope = float(_HALVES @ dsub.min(axis=1)) == 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr(rates, "concave_max_on_ray",
+                      lambda f, cap, **kw: ScalarMax(cap, -math.inf, 1, at_upper=True))
+        scalar = rate_function(_HALVES, _Q2, d, 0.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(rates, "_ln_brackets", _rising_brackets)
+        batched = rate_values_batch(_HALVES[None, :], _Q2, d, 0.0)
+    assert scalar.optimizer_s == math.inf and (scalar.evaluations == 0) == zero_slope
+    assert _same_bits(scalar.value, batched[0])
+    ln_feas, ln_tight = _ln_masses(dsub, lnq)
+    assert bool(np.isinf(ln_feas).any()) == straddles
+    assert _same_bits(scalar.value, _dual_limit(_HALVES[None, :], ln_feas, ln_tight)[0])
+    assert scalar.value > 0.0
+
+
+@pytest.mark.parametrize("name", ["fig1.json", "fig2.json"])
+def test_beyond_r_max_flags_exactly_the_rates_above_the_row_rate_ceiling(name):
+    spec = load_model(fig_path(name))
+    outcomes = set()
+    for scale in spec.d_scale_values:
+        level = spec.resolve_level(scale, scaled=True)
+        r_max = max_rate_over_sources(spec.codebook, spec.distortion, level)
+        if math.isinf(r_max):
+            continue
+        for rate, rho_cap in ((0.95 * r_max, 2.0), (r_max + 5e-10, 64.0),
+                              (r_max + 1e-7, 64.0), (r_max + 0.5, 64.0)):
+            flags = failure_envelope(spec.source, spec.codebook, spec.distortion, level,
+                                     rate, rho_cap=rho_cap).boundary_flags
+            if "rho_at_cap" in flags:
+                beyond = rate > r_max + 1e-9
+                assert ("beyond_r_max" in flags) == beyond, (level, rate)
+                outcomes.add(beyond)
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------
