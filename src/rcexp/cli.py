@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -392,8 +393,20 @@ def _add_level_args(sub, default=0.0):
                      help="interpret --D as a multiple of ln((1-p)/p)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a value such as ``-8e-05`` as a negative
+    number, not as an option string.  The argparse of Python 3.11 takes only
+    the forms ``-1`` and ``-0.5`` for negative numbers, so ``--D -8e-05``
+    ended in "expected one argument".  Subparsers are built from the same
+    class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rcexp",
         description="Random-coding exponents for finite-alphabet sources and channels.",
     )

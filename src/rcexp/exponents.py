@@ -115,11 +115,13 @@ def _mass_limit(lnw: np.ndarray, ln_feas: np.ndarray, rho: float, keep: np.ndarr
     return float(-_lse(lnw[keep] + rho * ln_feas[keep]))
 
 
-def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float):
+def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, *,
+                hint: float | None = None):
     """sup over s >= 0 of  -ln sum_x w(x) bracket_x(s)^rho  (concave in s).
 
     Returns (value, s_star); s_star is inf when the supremum is attained in
-    the limit, and the value is +inf when every row diverges.
+    the limit, and the value is +inf when every row diverges.  ``hint`` is a
+    guess of s_star for the walk (``optimize.concave_max_on_ray``).
     """
     if rho <= 1e-14:
         return 0.0, 0.0
@@ -138,7 +140,7 @@ def _sup_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float):
     # rows lie strictly inside the distortion level and others outside, so
     # the bracket must be allowed to run very far before giving up.
     res = concave_max_on_ray(lambda s: _e0_many(lnw, gap, lnq, rho, s),
-                             S_CAP_HARD, vectorized=True)
+                             S_CAP_HARD, vectorized=True, hint=hint)
     if res.at_upper:
         limit = _mass_limit(lnw, _ln_masses(gap, lnq)[0], rho, dmin <= DIV_TOL)
         return max(res.value, limit, 0.0), math.inf
@@ -156,14 +158,17 @@ def _tilt_scan(gap: np.ndarray, lnq: np.ndarray):
     return grid, _ln_brackets(gap, lnq, grid), _ln_masses(gap, lnq)[0]
 
 
-def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, scan):
+def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, scan, *,
+                hint: float | None = None):
     """inf over s >= 0 of  -ln sum_x w(x) bracket_x(s)^(-rho).
 
     The landscape can have several local minima, so the whole ray is scanned
     on the log-spaced grid of ``scan`` (from ``_tilt_scan``; an envelope call
     computes it once for all its outer probes) and every interior dip is
-    refined by golden section.  Callers must ensure max_x min_xhat gap <= 0
-    (otherwise the infimum is -inf and the enveloping formula does not apply).
+    refined by golden section; ``hint``, a guess of the minimizer, goes to the
+    walk of the dip whose bracket holds it.  Callers must ensure
+    max_x min_xhat gap <= 0 (otherwise the infimum is -inf and the enveloping
+    formula does not apply).
     """
     if rho <= 1e-14:
         return 0.0, 0.0
@@ -179,8 +184,10 @@ def _inf_e0_ray(lnw: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rho: float, s
     starts = np.flatnonzero(is_min[1:] & ~is_min[:-1]) + 1
     ends = np.flatnonzero(is_min[:-1] & ~is_min[1:])
     for i, j in zip(starts, ends):
-        res = golden_max(lambda s: -_e0_many(lnw, gap, lnq, -rho, s), grid[i - 1], grid[j + 1],
-                         rel_tol=1e-12, vectorized=True)
+        lo, hi = grid[i - 1], grid[j + 1]
+        inside = hint is not None and lo <= hint <= hi
+        res = golden_max(lambda s: -_e0_many(lnw, gap, lnq, -rho, s), lo, hi, rel_tol=1e-12,
+                         vectorized=True, hint=hint if inside else None)
         if -res.value < best_val:
             best_val, best_s = -res.value, res.x
 
@@ -261,12 +268,36 @@ def _slope_solve(inner, rate: float, rho_cap: float | None = None):
     return value, rho_star, inner(rho_star)[1], res.at_upper
 
 
-def _tilt_max_01(lnw, gap, lnq, rho: float):
-    """sup over s in [0, 1] of e0(s, rho): the bounded-tilt inner problem."""
+def _hinted(inner):
+    """``inner(rho, hint)`` as a function of ``rho`` alone, as ``_slope_solve``
+    takes it, where ``hint`` is the optimal tilt that the earlier solves
+    predict: the secant in rho through the last two finite, positive optimal
+    tilts, or the last one alone.  The hint only decides which points the
+    tilt walk computes ahead of time, never the result (see ``optimize``)."""
+    seen = []
+
+    def solve(rho: float):
+        hint = None
+        if len(seen) == 2 and seen[0][0] != seen[1][0]:
+            (r0, s0), (r1, s1) = seen
+            hint = s1 + (s1 - s0) * (rho - r1) / (r1 - r0)
+        elif seen:
+            hint = seen[-1][1]
+        value, s = inner(rho, hint)
+        if 0.0 < s < math.inf:
+            seen[:] = [*seen[-1:], (rho, s)]
+        return value, s
+
+    return solve
+
+
+def _tilt_max_01(lnw, gap, lnq, rho: float, *, hint: float | None = None):
+    """sup over s in [0, 1] of e0(s, rho): the bounded-tilt inner problem;
+    ``hint`` is a guess of the maximizer for the walk."""
     if rho <= 1e-14:
         return 0.0, 0.0
     res = unimodal_max_01(lambda s: _e0_many(lnw, gap, lnq, rho, s), rel_tol=1e-10,
-                          vectorized=True)
+                          vectorized=True, hint=hint)
     return res.value, res.x
 
 
@@ -275,7 +306,8 @@ def _nested_max(lnw, gap, lnq, rate: float, rho_cap: float | None, s_hi: float):
     [0, s_hi] (``s_hi`` is 1 or inf) of e0(s, rho) - rho * rate, as
     ``_slope_solve`` returns it."""
     inner = _sup_e0_ray if s_hi == math.inf else _tilt_max_01
-    return _slope_solve(lambda rho: inner(lnw, gap, lnq, rho), rate, rho_cap)
+    return _slope_solve(_hinted(lambda rho, hint: inner(lnw, gap, lnq, rho, hint=hint)),
+                        rate, rho_cap)
 
 
 def _e0_derivs(lnw, gap, lnq, rho: float, s: float):
@@ -435,7 +467,8 @@ def _envelope_exponent(lnw, gap, lnq, rate: float, rho_cap: float) -> ExponentRe
     flags = {"envelope_only"}
     scan = _tilt_scan(gap, lnq)
     value, rho_star, s_star, at_cap = _slope_solve(
-        lambda rho: _inf_e0_ray(lnw, gap, lnq, rho, scan), -rate, rho_cap)
+        _hinted(lambda rho, hint: _inf_e0_ray(lnw, gap, lnq, rho, scan, hint=hint)),
+        -rate, rho_cap)
     if at_cap:
         flags.add("rho_at_cap")
         if rate > _row_rate_max(gap, lnq) + 1e-9:

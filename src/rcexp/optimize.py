@@ -21,6 +21,16 @@ objective computed, so it does not depend on the depth.  Neither do ``x``
 and ``value``, to the last bit, when the vectorized objective returns the
 bits the scalar one would.
 
+A vectorized walk may also take a ``hint``, a guess of the maximizer.  Its
+first call then adds the path the hint predicts: the new point of every step,
+each step taken to keep [a, d] exactly when hint < (c + d) / 2.  The walk
+follows that path while the comparisons turn the way it predicted, and goes
+on with the tree from the first one that does not.  Every point is computed
+by the expression the tree uses for it, and the walk only reads values it
+has computed, so the same prefetch principle holds: a hint changes what the
+walk costs, never the path it takes.  A wrong, outside, nan or infinite hint
+gives the unhinted ``x``, ``value`` and ``evaluations``.
+
 ``newton_max`` is the exception: it takes the first two derivatives of the
 objective instead of its values, and counts nothing.
 """
@@ -62,10 +72,13 @@ def _batched(f, vectorized: bool):
 
 
 def _golden(many, depth: int, lo: float, hi: float, rel_tol: float, max_iter: int,
-            extra: tuple = ()):
+            extra: tuple = (), hint: float | None = None):
     """Golden section of the list objective ``many`` on [lo, hi], ``depth``
     steps per call.  The points ``extra`` are evaluated with the first pair;
-    returns the ScalarMax and their values."""
+    returns the ScalarMax and their values.  With a ``hint`` and a depth
+    above one, the first call also takes the path ``hint`` predicts (see
+    ``_path``), and the walk follows it until a comparison turns the other
+    way."""
     a, b = float(lo), float(hi)
     h = b - a
     tol = rel_tol * max(1.0, abs(a), abs(b))
@@ -75,16 +88,31 @@ def _golden(many, depth: int, lo: float, hi: float, rel_tol: float, max_iter: in
         return ScalarMax(x, ys[0], 1), ys[1:]
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    ys = many([c, d, *extra])
-    yc, yd, extra_ys = ys[0], ys[1], ys[2:]
     # The width shrinks by 1/phi per step whatever f does, so the number of
     # steps is known before any is taken.
     steps, width = 0, h
     while steps < max_iter and not width <= tol:
         width = _INV_PHI * width
         steps += 1
+    xs = _path(a, c, d, h, steps, hint) if hint is not None and depth > 1 else []
+    ys = many([c, d, *extra, *xs])
+    yc, yd, extra_ys = ys[0], ys[1], ys[2:2 + len(extra)]
     left = yc > yd
     todo = steps
+    # The path is the walk's own while every comparison turns the way the
+    # hint predicted from the same bracket.
+    for x, y in zip(xs, ys[2 + len(extra):]):
+        if left != (hint < 0.5 * (c + d)):
+            break
+        h = _INV_PHI * h
+        if left:
+            c, d = x, c
+            yc, yd = y, yc
+        else:
+            a, c, d = c, d, x
+            yc, yd = yd, y
+        left = yc > yd
+        todo -= 1
     while todo:
         k = min(depth, todo)
         todo -= k
@@ -129,14 +157,34 @@ def _golden(many, depth: int, lo: float, hi: float, rel_tol: float, max_iter: in
     return ScalarMax(d, yd, 2 + steps), extra_ys
 
 
+def _path(a: float, c: float, d: float, h: float, n: int, hint: float) -> list:
+    """The new points of the next ``n`` golden steps from the bracket
+    (a, c, d) of width ``h`` when every step turns toward ``hint``: it keeps
+    [a, d], as when f(c) > f(d), exactly when hint < (c + d) / 2.  Each point
+    is computed by the expression the tree of ``_golden`` uses for it."""
+    xs = []
+    for _ in range(n):
+        h = _INV_PHI * h
+        if hint < 0.5 * (c + d):
+            c, d = a + _INV_PHI2 * h, c
+            xs.append(c)
+        else:
+            a, c, d = c, d, c + _INV_PHI * h
+            xs.append(d)
+    return xs
+
+
 def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
-               max_iter: int = 200, vectorized: bool = False) -> ScalarMax:
-    """Golden-section maximization of a unimodal ``f`` on [lo, hi]."""
-    return _golden(*_batched(f, vectorized), lo, hi, rel_tol, max_iter)[0]
+               max_iter: int = 200, vectorized: bool = False, *,
+               hint: float | None = None) -> ScalarMax:
+    """Golden-section maximization of a unimodal ``f`` on [lo, hi]; ``hint``
+    is a guess of the maximizer (see the module docstring)."""
+    return _golden(*_batched(f, vectorized), lo, hi, rel_tol, max_iter, hint=hint)[0]
 
 
 def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
-                       max_iter: int = 200, vectorized: bool = False) -> ScalarMax:
+                       max_iter: int = 200, vectorized: bool = False, *,
+                       hint: float | None = None) -> ScalarMax:
     """Maximize a concave ``f`` on [0, cap] by doubling bracket + golden section.
 
     Probes 0, 1, 2, 4, ... until the objective stops increasing, then refines
@@ -152,7 +200,7 @@ def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
     values = (y for i in range(0, len(probes), chunk) for y in many(probes[i:i + chunk]))
     y0, y = next(values), next(values)
     if y <= y0:
-        res = _golden(many, depth, 0.0, 1.0, rel_tol, max_iter)[0]
+        res = _golden(many, depth, 0.0, 1.0, rel_tol, max_iter, hint=hint)[0]
         res.evaluations += 2
         if res.value < y0:
             return ScalarMax(0.0, y0, res.evaluations)
@@ -162,7 +210,8 @@ def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
         if ny <= y:
             # Concavity puts the maximum in [probes[j - 2], probes[j]]; the
             # bracket starts one probe further back.
-            res = _golden(many, depth, probes[max(j - 3, 0)], probes[j], rel_tol, max_iter)[0]
+            res = _golden(many, depth, probes[max(j - 3, 0)], probes[j], rel_tol, max_iter,
+                          hint=hint)[0]
             res.evaluations += j + 1
             return res
         y = ny
@@ -170,12 +219,12 @@ def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
 
 
 def unimodal_max_01(f, rel_tol: float = 1e-12, max_iter: int = 200,
-                    vectorized: bool = False) -> ScalarMax:
+                    vectorized: bool = False, *, hint: float | None = None) -> ScalarMax:
     """Golden-section maximization on the closed unit interval."""
     # The maximum may sit exactly at an endpoint; golden section never
     # evaluates them, so compare explicitly.
     res, (y0, y1) = _golden(*_batched(f, vectorized), 0.0, 1.0, rel_tol, max_iter,
-                            extra=(0.0, 1.0))
+                            extra=(0.0, 1.0), hint=hint)
     res.evaluations += 2
     return _best_of_ends(res, y0, 1.0, y1)
 
@@ -327,10 +376,10 @@ def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
         for _ in range(sweeps_per_round):
             improved = False
             for i in range(best.size):
-                if best[i] < step:
-                    continue
                 for j in range(best.size):
-                    if i == j:
+                    # An accepted move lowers best[i], so its mass is checked
+                    # before every move, not once per donor.
+                    if i == j or best[i] < step:
                         continue
                     cand = best.copy()
                     cand[i] -= step

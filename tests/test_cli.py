@@ -34,6 +34,21 @@ def test_compute_capacity_bsc(capsys):
     assert payload["capacity_nats"] == pytest.approx(math.log(2) - hb, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "{fig1}", "--kind", "success", "--R", "0.05", "--D", "{v}"],
+    ["maximize-q", "{fig1}", "--R", "0.1", "--D", "{v}", "--grid", "2", "--refine", "0"],
+    ["curve", "{fig1}", "--kind", "success", "--rates", "0.1", "--D", "{v}"],
+])
+def test_negative_number_in_exponent_notation_is_a_value(capsys, argv):
+    # "-8e-05" read as an option string ended in "expected one argument".
+    argv = [a.format(fig1=fig_path("fig1.json"), v="-8.470785255359353e-05") for a in argv]
+    i = argv.index("--D")
+    joined = [*argv[:i], "--D=" + argv[i + 1], *argv[i + 2:]]
+    spaced = run_cli(capsys, *argv)
+    assert spaced[0] == 0
+    assert spaced == run_cli(capsys, *joined)
+
+
 def test_compute_scaled_level(capsys):
     code, out, _ = run_cli(capsys, "compute", fig_path("fig1.json"),
                            "--kind", "success", "--R", "0.2", "--D", "-1.7",

@@ -384,10 +384,54 @@ def _bits(value):
     return float.hex(float(value))
 
 
+def _result_bits(res):
+    return (_bits(res.value), _bits(res.optimizer_rho), _bits(res.optimizer_s),
+            _bits(res.component_values), sorted(res.boundary_flags), _bits(res.upper_value))
+
+
 def _search_bits(q, res):
-    return (q.probs.tobytes(), _bits(res.value), _bits(res.optimizer_rho),
-            _bits(res.optimizer_s), _bits(res.component_values),
-            sorted(res.boundary_flags), _bits(res.upper_value))
+    return (q.probs.tobytes(), *_result_bits(res))
+
+
+def _hint_cases():
+    """Each kind of nested solve, at two points with interior optima."""
+    rng = np.random.default_rng(2)
+    q, p = random_distribution(rng, 3), random_channel(rng, 3, 3)
+    source, codebook = random_distribution(rng, 3), random_distribution(rng, 3)
+    d = random_distortion(rng, 3, 3)
+    return {
+        "success": lambda r, lv: success_exponent(source, codebook, d, lv, r),
+        "failure-envelope": lambda r, lv: failure_envelope(source, codebook, d, lv + 0.3, r),
+        "margin": lambda r, lv: margin_error_exponent(q, p, r, lv),
+        "correct-envelope": lambda r, lv: correct_envelope(q, p, r, lv + 0.3),
+        "forney": lambda r, lv: forney_exponent(q, p, r, lv),
+        "forney-bound": lambda r, lv: forney_bound_exponent(q, p, r, lv),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_hint_cases()))
+def test_tilt_hints_keep_every_bit(monkeypatch, kind):
+    # The optimal tilts of earlier slopes only choose which points the inner
+    # walks compute ahead of time: every exponent has the bits it has without
+    # them, at fewer kernel calls.
+    call = _hint_cases()[kind]
+    kernel = exponents._e0_many
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(exponents, "_e0_many", counted)
+    for rate, level in [(0.02, -0.1), (0.1, 0.0)]:
+        count[0] = 0
+        got = _result_bits(call(rate, level))
+        hinted = count[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(exponents, "_hinted", lambda inner: lambda rho: inner(rho, None))
+            count[0] = 0
+            assert got == _result_bits(call(rate, level)), (rate, level)
+        assert 0 < hinted < count[0], (rate, level)
 
 
 # Two channels with three outputs, capacities 0.325 and 0.251 nats, and a
@@ -521,6 +565,27 @@ def test_screen_value_is_far_inside_the_margin(inputs, outputs, seed, kind, deno
     assert math.isinf(screen) == math.isinf(exact)
     if math.isfinite(exact):
         assert abs(screen - exact) <= optimize.SCREEN_MARGIN / 100 * max(1.0, abs(exact))
+
+
+# Two 3-input channels on which the capacity search's mass exchange once
+# stepped below zero: it checked a donor's mass once, before several accepted
+# moves from it, and then evaluated a law with a negative entry.
+_EXCHANGE_CHANNELS = [
+    [[0.5983731900906744, 0.13311032054575977, 0.268516489363566],
+     [0.3250706577517471, 0.6252734823430399, 0.049655859905213],
+     [0.19294132305824702, 0.10526938629021812, 0.701789290651535]],
+    [[0.7359196283905801, 0.24325593966770895, 0.02082443194171078],
+     [0.2959593540963838, 0.5083632383387554, 0.19567740756486085],
+     [0.20910892209409762, 0.03636050139248752, 0.7545305765134148]],
+]
+
+
+@pytest.mark.parametrize("rows", _EXCHANGE_CHANNELS)
+def test_capacity_search_stays_on_the_simplex(rows):
+    p = Channel(rows)
+    q, value = capacity(p)
+    assert (q.probs >= 0.0).all()
+    assert value == pytest.approx(mutual_information(q, p), abs=1e-9)
 
 
 def test_capacity_closed_forms(rng):

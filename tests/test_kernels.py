@@ -388,7 +388,8 @@ def _with_reference_scan(monkeypatch, call):
     """``call()`` with the earlier _inf_e0_ray in place of the current one."""
     with monkeypatch.context() as patch:
         patch.setattr(exponents, "_inf_e0_ray",
-                      lambda lnw, gap, lnq, rho, scan: _reference_inf_e0_ray(lnw, gap, lnq, rho))
+                      lambda lnw, gap, lnq, rho, scan, hint=None:
+                      _reference_inf_e0_ray(lnw, gap, lnq, rho))
         return call()
 
 

@@ -11,6 +11,7 @@ from rcexp.optimize import (
     SCREEN_MARGIN,
     SPEC_DEPTH,
     ScalarMax,
+    _exchange_refine,
     concave_max_on_ray,
     golden_max,
     maximize_over_simplex,
@@ -63,10 +64,18 @@ def _source_pieces(draw):
 _TILT = st.one_of(st.just(0.0), st.floats(1e-4, 1e16))
 
 
+# The longest batch a walk asks for: the first call of a hinted walk at the
+# default max_iter takes the golden pair, the two ends of unimodal_max_01 and
+# one point for each of the 200 steps.
+_LONGEST_BATCH = 2 + 2 + 200
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(pieces=st.one_of(_channel_pieces(), _source_pieces()),
        rho=st.floats(-64.0, 1.0),
-       tilts=st.lists(_TILT, min_size=1, max_size=2 ** SPEC_DEPTH - 1))
+       tilts=st.one_of(st.lists(_TILT, min_size=1, max_size=2 ** SPEC_DEPTH - 1),
+                       st.integers(2 ** SPEC_DEPTH, _LONGEST_BATCH).flatmap(
+                           lambda n: st.lists(_TILT, min_size=n, max_size=n))))
 def test_batched_e0_equals_scalar_kernel(pieces, rho, tilts):
     lnw, gap, lnq = pieces
     batch = _e0_many(lnw, gap, lnq, rho, np.array(tilts)).tolist()
@@ -174,15 +183,26 @@ BRACKETS = [(0.0, 1.0), (0.2, 0.9), (-3.0, 5.0), (0.0, 1e16), (0.3, 0.3 + 1e-12)
 MAX_ITERS = [0, 1, 3, 4, 5, 7, 200]
 
 
+def _hints(lo, hi, found):
+    """No hint, then the maximizer the sequential walk found, both ends, the
+    midpoint, points below and above [lo, hi], nan and both infinities.  A
+    hint changes what a walk costs, never what it returns."""
+    out = hi - lo + 1.0
+    return [None, found, lo, hi, 0.5 * (lo + hi), lo - out, hi + out, math.nan, math.inf,
+            -math.inf]
+
+
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
 def test_golden_max_matches_sequential(name):
     f = OBJECTIVES[name]
     for lo, hi in BRACKETS:
         for max_iter in MAX_ITERS:
             want = _fields(_golden_ref(f, lo, hi, 1e-10, max_iter))
-            assert _fields(golden_max(f, lo, hi, 1e-10, max_iter)) == want
-            got = golden_max(_vectorize(f), lo, hi, 1e-10, max_iter, vectorized=True)
-            assert _fields(got) == want, (name, lo, hi, max_iter)
+            for hint in _hints(lo, hi, want[0]):
+                assert _fields(golden_max(f, lo, hi, 1e-10, max_iter, hint=hint)) == want
+                got = golden_max(_vectorize(f), lo, hi, 1e-10, max_iter, vectorized=True,
+                                 hint=hint)
+                assert _fields(got) == want, (name, lo, hi, max_iter, hint)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -192,9 +212,11 @@ def test_unimodal_max_01_matches_sequential(name):
     for rel_tol in (1e-12, 1e-6, 2.0):
         for max_iter in MAX_ITERS:
             want = _fields(_unit_ref(f, rel_tol, max_iter))
-            assert _fields(unimodal_max_01(f, rel_tol, max_iter)) == want
-            got = unimodal_max_01(_vectorize(f), rel_tol, max_iter, vectorized=True)
-            assert _fields(got) == want, (name, rel_tol, max_iter)
+            for hint in _hints(0.0, 1.0, want[0]):
+                assert _fields(unimodal_max_01(f, rel_tol, max_iter, hint=hint)) == want
+                got = unimodal_max_01(_vectorize(f), rel_tol, max_iter, vectorized=True,
+                                      hint=hint)
+                assert _fields(got) == want, (name, rel_tol, max_iter, hint)
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTIVES))
@@ -204,9 +226,27 @@ def test_concave_max_on_ray_matches_sequential(name):
     for cap in (0.5, 1.0, 6.0, 64.0, 3e5, 1e16):
         for max_iter in (0, 5, 200):
             want = _fields(_ray_ref(f, cap, 1e-10, max_iter))
-            assert _fields(concave_max_on_ray(f, cap, 1e-10, max_iter)) == want
-            got = concave_max_on_ray(_vectorize(f), cap, 1e-10, max_iter, vectorized=True)
-            assert _fields(got) == want, (name, cap, max_iter)
+            for hint in _hints(0.0, cap, want[0]):
+                assert _fields(concave_max_on_ray(f, cap, 1e-10, max_iter, hint=hint)) == want
+                got = concave_max_on_ray(_vectorize(f), cap, 1e-10, max_iter, vectorized=True,
+                                         hint=hint)
+                assert _fields(got) == want, (name, cap, max_iter, hint)
+
+
+def test_hinted_walk_takes_the_predicted_path_in_one_call():
+    # On the parabola, hint 0.3 predicts every comparison: the pair and the
+    # 48 steps go in one call, where the unhinted walk makes 13.
+    calls = []
+
+    def f(xs):
+        calls.append(len(xs))
+        return -(xs - 0.3) ** 2
+
+    want = golden_max(f, 0.0, 1.0, vectorized=True)
+    assert len(calls) == 13
+    calls.clear()
+    assert _fields(golden_max(f, 0.0, 1.0, vectorized=True, hint=0.3)) == _fields(want)
+    assert calls == [2 + 48]
 
 
 def test_vectorized_walk_batches_the_steps():
@@ -249,6 +289,20 @@ def test_screen_keeps_refinement_steps_smaller_than_the_margin(base, offset):
     assert want.point.tobytes() != grid_best.point.tobytes()
     assert got.point.tobytes() == want.point.tobytes()
     assert got.value.hex() == want.value.hex()
+
+
+@pytest.mark.parametrize("start", [[3 / 64, 0.5, 29 / 64], [3 / 64, 0.25, 0.25, 29 / 64]])
+def test_exchange_refine_never_leaves_the_simplex(start):
+    # Every move out of letter 0 improves f, and letter 0 holds 1.5 steps of
+    # the first round: after one accepted move it holds half a step, and a
+    # second move from it would make it negative.
+    def f(x):
+        assert (x >= 0.0).all(), x
+        return -float(x[0])
+
+    best, value, _ = _exchange_refine(f, start, f(np.array(start)), 16, 3)
+    assert best.tolist() == [0.0, *best[1:]] and value == 0.0
+    assert best.sum() == 1.0
 
 
 # ---------------------------------------------------------------------------
