@@ -30,12 +30,11 @@ from .optimize import (
     unimodal_max_ray_reparam,
 )
 from .probability import Channel, Distribution, DistortionModel, mutual_information
-from .rates import DIV_TOL, S_CAP, S_CAP_HARD, finiteness_boundary
+from .rates import DIV_TOL, FLAG_TOL, S_CAP, S_CAP_HARD, finiteness_boundary
 from .rates import _input_logs, _ln_brackets, _ln_masses, _lse, _lse_rows, _margin_gap
-from .rates import _restrict, _row_rate_max
+from .rates import _on_d_min, _restrict, _row_rate_max
 
 RHO_CAP = 64.0
-FLAG_TOL = 1e-6
 _TIE_TOL = 1e-12
 
 KINDS = (
@@ -392,9 +391,8 @@ def _sup_exponent(lnw, gap, lnq, rate: float, solve=_nested_max) -> ExponentResu
 
     +inf when the level lies below every distortion on the codebook support.
     """
-    m = float(gap.min())
-    flags = frozenset({"at_D_min"}) if abs(m) <= FLAG_TOL else frozenset()
-    if m > DIV_TOL:
+    flags = frozenset({"at_D_min"}) if _on_d_min(gap) else frozenset()
+    if float(gap.min()) > DIV_TOL:
         return ExponentResult(math.inf, boundary_flags=flags)
     value, rho_star, s_star, _ = solve(lnw, gap, lnq, rate, None, math.inf)
     return ExponentResult(value, rho_star, s_star, boundary_flags=flags)
@@ -618,11 +616,9 @@ def forney_exponent(q: Distribution, p: Channel, rate: float, level: float,
     flags |= second.boundary_flags
 
     upper = None
-    if flags & {"at_D_min", "at_R_min"}:
-        eps = 1e-6
-        relaxed1 = forney_component_one(q, p, rate - eps, level, rho_cap)
-        relaxed2 = margin_error_exponent(q, p, rate, level - eps).value
-        upper = min(relaxed1, relaxed2)
+    if flags & {"at_D_min", "at_R_min"}:  # both components relaxed by eps = 1e-6
+        upper = min(_first_component(lnw, gap, lnq, rate - 1e-6, boundary, rho_cap)[0],
+                    margin_error_exponent(q, p, rate, level - 1e-6).value)
 
     return ExponentResult(value, rho_star, s_star,
                           component_values=(comp1, comp2),

@@ -54,6 +54,8 @@ SPEC_DEPTH = 4
 # max(1, |best|), before maximize_over_simplex rules its point out without
 # the exact objective; a screen must err by less than half of it.
 SCREEN_MARGIN = 1e-8
+# Most mass-exchange sweeps per refinement round of maximize_over_simplex.
+SWEEPS_PER_ROUND = 40
 
 
 @dataclass
@@ -182,6 +184,14 @@ def golden_max(f, lo: float, hi: float, rel_tol: float = 1e-10,
     return _golden(*_batched(f, vectorized), lo, hi, rel_tol, max_iter, hint=hint)[0]
 
 
+def _doubling_probes(cap: float) -> list:
+    """The bracket probes 0, 1, 2, 4, ... of a search on [0, cap]; the last is ``cap``."""
+    probes = [0.0, 1.0]
+    while probes[-1] < cap:
+        probes.append(min(2.0 * probes[-1], cap))
+    return probes
+
+
 def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
                        max_iter: int = 200, vectorized: bool = False, *,
                        hint: float | None = None) -> ScalarMax:
@@ -193,9 +203,7 @@ def concave_max_on_ray(f, cap: float, rel_tol: float = 1e-10,
     the limit means.
     """
     many, depth = _batched(f, vectorized)
-    probes = [0.0, 1.0]
-    while probes[-1] < cap:
-        probes.append(min(2.0 * probes[-1], cap))
+    probes = _doubling_probes(cap)
     chunk = 2 ** depth - 1
     values = (y for i in range(0, len(probes), chunk) for y in many(probes[i:i + chunk]))
     y0, y = next(values), next(values)
@@ -322,14 +330,13 @@ class SimplexMax:
 
 
 def maximize_over_simplex(f, dimension: int, denominator: int = 16,
-                          refinement_rounds: int = 3,
-                          sweeps_per_round: int = 40, screen=None) -> SimplexMax:
+                          refinement_rounds: int = 3, screen=None) -> SimplexMax:
     """Deterministic grid seeding plus coordinate-pair mass-exchange refinement.
 
     Scans the rational simplex grid, then repeatedly moves probability mass
     ``step`` from one coordinate to another whenever that improves ``f``,
-    halving ``step`` each round.  Scan order is fixed, so results do not
-    depend on timing or hashing.
+    halving ``step`` each round of at most ``SWEEPS_PER_ROUND`` sweeps.  Scan
+    order is fixed, so results do not depend on timing or hashing.
 
     ``screen``, when given, is a cheap estimate of ``f`` whose error is below
     ``SCREEN_MARGIN / 2`` relative to max(1, |f|).  Every grid point is then
@@ -359,12 +366,11 @@ def maximize_over_simplex(f, dimension: int, denominator: int = 16,
             best_val = val
             best = row
     best, best_val, more = _exchange_refine(f, best, best_val, denominator,
-                                            refinement_rounds, sweeps_per_round, screen)
+                                            refinement_rounds, screen)
     return SimplexMax(best, best_val, evals + more)
 
 
-def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
-                     sweeps_per_round: int = 40, screen=None):
+def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int, screen=None):
     """The mass-exchange rounds of maximize_over_simplex, from ``best`` with value
     ``best_val``; returns the best point, its value and the evaluation count.
     ``screen`` rules candidates out as there."""
@@ -373,7 +379,7 @@ def _exchange_refine(f, best, best_val: float, denominator: int, rounds: int,
     step = 1.0 / denominator
     for _ in range(rounds):
         step *= 0.5
-        for _ in range(sweeps_per_round):
+        for _ in range(SWEEPS_PER_ROUND):
             improved = False
             for i in range(best.size):
                 for j in range(best.size):

@@ -31,6 +31,8 @@ from .probability import (
 from .rates import _margin_gap, rate_function, rate_values_batch
 
 CONSTRAINT_SLACK = 1e-9
+# The constant of grid_tolerance's error budget.
+GRID_TOL_FACTOR = 4.0
 _MAX_HALF_ENUM = 8_000_000
 
 
@@ -52,9 +54,9 @@ class GridSpec:
             raise DimensionMismatch("invalid grid spec")
 
 
-def grid_tolerance(denominator: int, min_prob: float, d_span: float, c: float = 4.0) -> float:
+def grid_tolerance(denominator: int, min_prob: float, d_span: float) -> float:
     """Documented error budget of a denominator-m grid comparison."""
-    return c / denominator * max(abs(math.log(min_prob)), d_span)
+    return GRID_TOL_FACTOR / denominator * max(abs(math.log(min_prob)), d_span)
 
 
 def model_min_prob(*objects) -> float:

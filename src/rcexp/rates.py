@@ -9,9 +9,10 @@ evaluated through its dual form: the supremum over a nonnegative tilt ``s`` of
     -sum_x T(x) * ln sum_xhat Q(xhat) * exp(-s * (d(x, xhat) - D)).
 
 The objective is concave in ``s`` (a minimum of affine functions), so a
-doubling bracket plus golden section finds the supremum; divergence and
-attainment-in-the-limit are decided analytically from the support geometry
-before any search runs.
+doubling bracket plus golden section finds the supremum.  ``rate_function``
+and ``rate_values_batch`` first settle every law the support geometry decides
+(divergence, the limit at infinite tilt, a peak at zero tilt) by one settle
+rule, ``_settle``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .optimize import _INV_PHI, _INV_PHI2, concave_max_on_ray, golden_max
+from .optimize import _INV_PHI, _INV_PHI2, _doubling_probes, concave_max_on_ray, golden_max
 from .probability import (
     Channel,
     Distribution,
@@ -40,6 +41,9 @@ S_CAP_HARD = 1e16
 # meets the level, a letter within DIV_TOL of its row's minimum is tight, and
 # a terminal slope (weighted row minimum) above DIV_TOL diverges.
 DIV_TOL = 1e-12
+# The slack of the boundary flags: the D_min line (``_on_d_min``) and the
+# exponents' rate finiteness boundary.
+FLAG_TOL = 1e-6
 # How close to sigma = 1 the coupled solver is allowed to evaluate; closer
 # amplifies cancellation error in G(sigma) / (1 - sigma).
 SIGMA_MAX = 1.0 - 1e-7
@@ -50,9 +54,9 @@ class RateResult:
     """Value of a rate function together with solver metadata.
 
     ``optimizer_s`` is the maximizing tilt (``math.inf`` when the supremum is
-    attained only in the limit).  ``at_d_min`` marks queries sitting exactly on
-    the minimal-distortion boundary, where the variational characterization is
-    only guaranteed to be a bound.
+    attained only in the limit).  ``at_d_min`` marks queries on the minimal-
+    distortion line (``_on_d_min``, as the exponents' ``at_D_min`` flag), where
+    the variational characterization is only guaranteed to be a bound.
     """
 
     value: float
@@ -147,61 +151,71 @@ def _ln_masses(gap: np.ndarray, lnq: np.ndarray):
 def _dual_limit(t_batch: np.ndarray, ln_feas: np.ndarray, ln_tight: np.ndarray) -> np.ndarray:
     """Each law's (row of ``t_batch``) dual at infinite tilt: the feasible-mass
     bound -sum t ln_feas, or for a law weighting a row with no feasible letter
-    the tight-mass form -sum t ln_tight, exact at zero terminal slope."""
+    the tight-mass form -sum t ln_tight, exact at zero terminal slope, one law
+    at a time: a row of a matrix product rounds unlike a batch of one."""
     weighted = t_batch > 0.0
     feasible = np.isfinite(ln_feas)
     limit = -np.where(weighted, t_batch * np.where(feasible, ln_feas, 0.0), 0.0).sum(axis=1)
-    return np.where((weighted & ~feasible).any(axis=1), -t_batch @ ln_tight, limit)
+    for i in np.flatnonzero((weighted & ~feasible).any(axis=1)):
+        limit[i] = -(t_batch[i] @ ln_tight)
+    return limit
 
 
-def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray, s_cap: float = S_CAP):
-    """sup over s >= 0 of -sum_x w(x) lse_xhat(lnq - s * dgap[x, :]).
+def _settle(t_batch: np.ndarray, gap: np.ndarray, lnq: np.ndarray, rows=slice(None)):
+    """(values, optimal tilts) of the laws (rows of ``t_batch``) that the
+    support geometry decides, nan for the others.  In this order: a terminal
+    slope sum_x t(x) min gap above DIV_TOL diverges (+inf); one within DIV_TOL
+    of zero makes the supremum the limit at infinite tilt (floored at +0.0);
+    a slope at zero tilt <= 0 puts the maximum, 0, at s = 0.  The slopes sum
+    the rows ``rows`` only: zero-weight rows move their last bits."""
+    t_rows, gap_rows = t_batch[:, rows], gap[rows]
+    slope_inf = t_rows @ gap_rows.min(axis=1)
+    slope_zero = t_rows @ (gap_rows @ np.exp(lnq))
+    values = np.where(slope_zero <= 0.0, 0.0, math.nan)
+    s_star = values.copy()
+    flat = np.abs(slope_inf) <= DIV_TOL
+    if flat.any():
+        values[flat] = np.maximum(_dual_limit(t_batch[flat], *_ln_masses(gap, lnq)) + 0.0, 0.0)
+        s_star[flat] = math.inf
+    diverged = slope_inf > DIV_TOL
+    values[diverged] = s_star[diverged] = math.inf
+    return values, s_star
 
-    Returns (value, s_star, evaluations).  ``dgap`` already has the
-    distortion level subtracted.
-    """
+
+def _on_d_min(gap: np.ndarray) -> bool:
+    """Whether the smallest gap (distortion minus level) of the weighted rows
+    is within FLAG_TOL of zero: the query is on the minimal-distortion line."""
+    return abs(float(gap.min(initial=math.inf))) <= FLAG_TOL
+
+
+def _sup_dual(weights: np.ndarray, dgap: np.ndarray, lnq: np.ndarray):
+    """sup over s >= 0 of -sum_x w(x) lse_xhat(lnq - s * dgap[x, :]) as
+    (value, s_star, evaluations); ``dgap`` has the level subtracted."""
     active = weights > 0.0
-    w = weights[active]
-    gap = dgap[active]
-
-    def limit() -> float:  # rate_values_batch's limit on a batch of one law, zero made +0.0
-        return float(_dual_limit(weights[None, :], *_ln_masses(dgap, lnq))[0]) + 0.0
-
-    slope_inf = float(np.dot(w, gap.min(axis=1)))
-    if slope_inf > DIV_TOL:
-        return math.inf, math.inf, 0
-    if slope_inf >= -DIV_TOL:
-        # Terminal slope zero: the concave objective is nondecreasing, so the
-        # supremum is the analytic limit at infinite tilt.
-        return max(limit(), 0.0), math.inf, 0
-
-    slope_zero = float(np.dot(w, np.exp(lnq) @ gap.T))
-    if slope_zero <= 0.0:
-        return 0.0, 0.0, 1
+    value, s_star = (float(v[0]) for v in _settle(weights[None, :], dgap, lnq, active))
+    if not math.isnan(value):
+        return value, s_star, int(s_star == 0.0)
+    w, gap = weights[active], dgap[active]
 
     def g(s: float) -> float:
         return float(-np.dot(w, _lse_rows(lnq[None, :] - s * gap)))
 
-    # The terminal slope is strictly negative, so a finite maximizer exists;
-    # escalate the bracket beyond the nominal cap if the objective is still
-    # rising there (the maximizer can be astronomically large when the
-    # terminal slope is tiny).
-    res = concave_max_on_ray(g, max(s_cap, S_CAP_HARD), rel_tol=1e-10)
+    # The terminal slope is strictly negative, so a finite maximizer exists,
+    # but it can be astronomically large when the terminal slope is tiny.
+    res = concave_max_on_ray(g, S_CAP_HARD, rel_tol=1e-10)
     if res.at_upper:
-        return max(res.value, limit(), 0.0), math.inf, res.evaluations
+        limit = float(_dual_limit(weights[None, :], *_ln_masses(dgap, lnq))[0]) + 0.0
+        return max(res.value, limit, 0.0), math.inf, res.evaluations
     return max(res.value, 0.0), res.x, res.evaluations
 
 
-def rate_function(t, q: Distribution, d: DistortionModel, level: float,
-                  s_cap: float = S_CAP) -> RateResult:
+def rate_function(t, q: Distribution, d: DistortionModel, level: float) -> RateResult:
     """Constrained rate of source law ``t`` against codebook ``q`` at distortion ``level``.
 
     ``t`` may be a Distribution, a JointDistribution (flattened row-major to
     match a channel-induced distortion matrix), or a raw probability vector.
     Returns +inf exactly when no kernel supported on the codebook meets the
     distortion constraint, i.e. when sum_x t(x) min_xhat d(x, xhat) > level.
-    The tilt search runs up to max(s_cap, S_CAP_HARD), so ``s_cap`` only
-    matters above S_CAP_HARD (1e16).
     """
     weights = _weights_of(t)
     if weights.shape[0] != d.source_size:
@@ -209,67 +223,53 @@ def rate_function(t, q: Distribution, d: DistortionModel, level: float,
     if q.alphabet_size != d.reproduction_size:
         raise DimensionMismatch("codebook does not match distortion columns")
     dsub, lnq = _restrict(q, d)
-    dmin_restricted = float(dsub[weights > 0.0].min()) if np.any(weights > 0.0) else 0.0
-    value, s_star, evals = _sup_dual(weights, dsub - level, lnq, s_cap=s_cap)
-    return RateResult(value, s_star, evals, at_d_min=abs(level - dmin_restricted) <= DIV_TOL)
+    gap = dsub - level
+    return RateResult(*_sup_dual(weights, gap, lnq), at_d_min=_on_d_min(gap[weights > 0.0]))
 
 
 def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
-                      level: float, s_cap: float = S_CAP,
-                      golden_iters: int = 60) -> np.ndarray:
+                      level: float) -> np.ndarray:
     """Vectorized rate_function values for many source laws at once.
 
     Used by the brute-force oracles, where tens of thousands of grid laws
-    share one (codebook, distortion, level) triple.  The doubling probes
-    0, 1, 2, 4, ... use the same tilts for every law, so their per-row
-    brackets ln sum_xhat q(xhat) e^{-s gap[x, xhat]} form one probes x rows
-    table, computed once and weighted by each law.  The golden-section
-    refinement then runs, synchronized, only on the live laws: those that
-    have not diverged, rise at zero tilt and did not close their bracket at
-    the cap.  The others' values are settled without it (+inf, zero, or the
-    limit at infinite tilt), so every value has the bits of running all laws
-    through both stages.  ``s_cap`` only matters above S_CAP_HARD (1e16).
+    share one (codebook, distortion, level) triple.  The settle rule of
+    ``rate_function``, ``_settle``, decides the laws it can (+inf, the limit
+    at infinite tilt, or zero).  The doubling probes 0, 1, 2, 4, ... use the
+    same tilts for every other law, so their per-row brackets
+    ln sum_xhat q(xhat) e^{-s gap[x, xhat]} form one probes x rows table,
+    computed once and weighted by each law.  A law still rising at the cap
+    takes the larger of its best probe and the limit at infinite tilt; a
+    synchronized 60-step golden section refines the others.  Each law's value
+    has the bits of running it alone.
     """
     t_batch = np.asarray(t_batch, dtype=float)
     dsub, lnq = _restrict(q, d)
     gap = dsub - level
-
-    dmin = gap.min(axis=1)
-    slope_inf = t_batch @ dmin
-    diverged = slope_inf > DIV_TOL
-
-    slope_zero = t_batch @ (gap @ np.exp(lnq))
+    values, _ = _settle(t_batch, gap, lnq)
+    open_laws = np.flatnonzero(np.isnan(values))
+    t_open = t_batch[open_laws]
 
     def weigh(t: np.ndarray, ln_brackets: np.ndarray) -> np.ndarray:
         return -np.einsum("nx,nx->n", t, ln_brackets)
 
-    hard_cap = max(s_cap, S_CAP_HARD)
-    probes = [0.0, 1.0]
-    while probes[-1] < hard_cap:
-        probes.append(min(2.0 * probes[-1], hard_cap))
-    probes = np.array(probes)
+    probes = np.array(_doubling_probes(S_CAP_HARD))
     # Each law weighs a contiguous copy of the shared row, so the einsum sums
     # it exactly as it sums rows of per-law brackets.
-    vals = np.stack([weigh(t_batch, np.broadcast_to(row, t_batch.shape).copy())
+    vals = np.stack([weigh(t_open, np.broadcast_to(row, t_open.shape).copy())
                      for row in _ln_brackets(gap, lnq, probes)])  # (P, n)
 
     best = vals.max(axis=0)
     # First probe index where the objective stops increasing.
     increases = np.diff(vals, axis=0) > 0.0
     still = np.all(increases, axis=0)
-    first_drop = np.argmin(increases, axis=0)  # index into diffs
-    lo_idx = np.maximum(first_drop - 1, 0)
-    hi_idx = np.minimum(first_drop + 1, len(probes) - 1)
-
-    # The rest are set to +inf or 0 at the end, or closed their bracket at
-    # the cap, where every golden point is the cap probe itself.
-    live = np.flatnonzero(~(diverged | (slope_zero <= 0.0) | still))
+    live = np.flatnonzero(~still)
     if live.size:
-        t_live = t_batch[live]
-        a = probes[lo_idx[live]]
-        b = probes[hi_idx[live]]
+        first_drop = np.argmin(increases[:, live], axis=0)  # index into diffs
+        t_live = t_open[live]
+        a = probes[np.maximum(first_drop - 1, 0)]
+        b = probes[first_drop + 1]
         top = best[live]
-        for _ in range(golden_iters):
+        for _ in range(60):
             h = b - a
             c = a + _INV_PHI2 * h
             dd = a + _INV_PHI * h
@@ -280,15 +280,9 @@ def rate_values_batch(t_batch: np.ndarray, q: Distribution, d: DistortionModel,
             b = np.where(take_left, dd, b)
             a = np.where(take_left, a, c)
         best[live] = top
-
-    # Laws whose objective was still increasing at the cap attain the
-    # supremum in the limit.
-    if np.any(still):
-        best = np.where(still, np.maximum(best, _dual_limit(t_batch, *_ln_masses(gap, lnq))), best)
-
-    values = np.maximum(best, 0.0)
-    values[slope_zero <= 0.0] = 0.0
-    values[diverged] = math.inf
+    if still.any():
+        best[still] = np.maximum(best[still], _dual_limit(t_open[still], *_ln_masses(gap, lnq)))
+    values[open_laws] = np.maximum(best, 0.0)
     return values
 
 

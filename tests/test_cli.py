@@ -368,6 +368,18 @@ def test_oracle_audit(capsys):
     assert payload["within_tolerance"] is True
 
 
+def test_oracle_audit_one_ulp_below_d_min(capsys):
+    """17 grid laws have a terminal slope within DIV_TOL of zero here; the
+    oracle once took its batch's probe noise for them (3.428 against the
+    engine's 1.514) and exited 1."""
+    code, out, _ = run_cli(capsys, "oracle-audit", fig_path("fig1.json"),
+                           "--kind", "success", "--R", "1.0", "--D", "-1.265666373331276",
+                           "--grid", "16")
+    payload = json.loads(out)
+    assert code == 0 and payload["within_tolerance"] is True
+    assert abs(payload["oracle"] - payload["engine"]) <= 1e-9
+
+
 def test_maximize_q(capsys):
     code, out, _ = run_cli(capsys, "maximize-q", fig_path("fig1.json"),
                            "--kind", "e-bound", "--R", "0.05", "--D", "0.0",

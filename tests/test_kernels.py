@@ -275,10 +275,25 @@ def _law_kinds(t_batch, q, d, level, still):
 
 def _mixed_model():
     """Four distortion rows at level 0: one grows without bound but slower
-    than DIV_TOL (still rising at the cap), one diverges, one has a negative
-    slope at zero tilt, one has an interior maximizer."""
+    than DIV_TOL (still rising at the cap for the reference; its laws lie in
+    the zero-slope band, which the settle rule decides), one diverges, one
+    has a negative slope at zero tilt, one has an interior maximizer."""
     d = DistortionModel([[1e-13, 1.0], [0.5, 2.0], [-1.0, -0.5], [-1.0, 2.0]])
     return d, Distribution([0.4, 0.6])
+
+
+def _check_against_reference(t_grid, q, d, level) -> np.ndarray:
+    """rate_values_batch has the reference's bits on the laws outside the
+    zero-slope band |sum_x t(x) min gap| <= DIV_TOL, and rate_function's
+    inside it, where the settle rule decides the law and the reference keeps
+    the noise of its probes.  Returns the band."""
+    ref, _ = _reference_rate_values_batch(t_grid, q, d, level)
+    got = rate_values_batch(t_grid, q, d, level)
+    dsub, _ = _restrict(q, d)
+    band = np.abs(t_grid @ (dsub - level).min(axis=1)) <= DIV_TOL
+    assert _same_bits(got[~band], ref[~band])
+    assert _same_bits(got[band], [rate_function(t, q, d, level).value for t in t_grid[band]])
+    return band
 
 
 def test_rate_values_batch_matches_per_law_version_on_every_kind_of_law():
@@ -287,29 +302,24 @@ def test_rate_values_batch_matches_per_law_version_on_every_kind_of_law():
     ref, still = _reference_rate_values_batch(t_grid, q, d, 0.0)
     kinds = _law_kinds(t_grid, q, d, 0.0, still)
     assert all(count > 0 for count in kinds), kinds
-    assert _same_bits(rate_values_batch(t_grid, q, d, 0.0), ref)
+    assert _check_against_reference(t_grid, q, d, 0.0).any()
 
 
 @pytest.mark.parametrize("level", [-0.3, 0.0, 0.1, 0.2, 0.35, 0.6])
 def test_rate_values_batch_matches_per_law_version_on_fig1(fig1_model, level):
-    t_grid = simplex_grid_arrays(4, 12)
-    args = (fig1_model.codebook, fig1_model.distortion, level)
-    ref, _ = _reference_rate_values_batch(t_grid, *args)
-    assert _same_bits(rate_values_batch(t_grid, *args), ref)
+    _check_against_reference(simplex_grid_arrays(4, 12), fig1_model.codebook,
+                             fig1_model.distortion, level)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rows=st.integers(2, 4), cols=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
-       where=st.floats(0.0, 1.0), s_cap=st.sampled_from((S_CAP, 2.0 ** 70)))
-def test_rate_values_batch_matches_per_law_version_on_random_models(rows, cols, seed, where,
-                                                                    s_cap):
+       where=st.floats(0.0, 1.0))
+def test_rate_values_batch_matches_per_law_version_on_random_models(rows, cols, seed, where):
     rng = np.random.default_rng(seed)
     d = DistortionModel(rng.uniform(-1.0, 1.0, (rows, cols)))
     q = Distribution(rng.dirichlet(np.ones(cols)))
     level = d.d_min + where * (d.d_max - d.d_min)
-    t_grid = simplex_grid_arrays(rows, 5)
-    ref, _ = _reference_rate_values_batch(t_grid, q, d, level, s_cap=s_cap)
-    assert _same_bits(rate_values_batch(t_grid, q, d, level, s_cap=s_cap), ref)
+    _check_against_reference(simplex_grid_arrays(rows, 5), q, d, level)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from rcexp.exponents import success_exponent
 from rcexp.probability import (
     Channel,
     Distribution,
     DistortionModel,
     joint_from_input_and_channel,
     mutual_information,
+    simplex_grid_arrays,
 )
 from rcexp.rates import (
+    _restrict,
+    _settle,
     channel_distortion,
     coupled_rate_function,
     distortion_bounds,
@@ -96,6 +100,81 @@ def test_rate_batch_matches_scalar(rng):
             assert math.isinf(v)
         else:
             assert v == pytest.approx(exact, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# One settle rule: the batch and the scalar dual decide the same laws alike.
+# ---------------------------------------------------------------------------
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("gaps, codebook, law, value", [
+    ([[-2e-12, 0.5], [2e-12, 0.5]], [0.5, 0.5], [0.25, 0.75], math.log(2.0)),
+    ([[-1.0, 1e-16, -1.0 + 1e-16], [1.0, 1.0, 1.5]], [0.307, 0.259, 0.434], [0.5, 0.5],
+     -0.5 * math.log(0.741 * 0.566)),  # row 2 infeasible: the tight masses
+])
+def test_batch_takes_the_limit_at_zero_terminal_slope(gaps, codebook, law, value):
+    """Terminal slopes within DIV_TOL of zero, far from the level: the batch
+    once kept the noise of its probes here (10000.69 and 2.0)."""
+    q, d = Distribution(codebook), DistortionModel(gaps)
+    exact = rate_function(np.array(law), q, d, 0.0)
+    assert exact.optimizer_s == math.inf and exact.evaluations == 0
+    assert exact.value == pytest.approx(value, rel=1e-3)
+    assert _hex(rate_values_batch(np.array([law]), q, d, 0.0)) == _hex([exact.value])
+
+
+@pytest.mark.parametrize("name, m, level", [
+    ("fig1", 16, -1.265666373331276),  # one ulp below fig1's D_min
+    ("fig3", 24, -0.2594),
+    ("fig3", 24, -0.2179),
+])
+def test_batch_has_rate_function_bits_on_every_settled_law(name, m, level, request):
+    """Every grid law the settle rule decides gets rate_function's bits from
+    the batch.  The laws it leaves to the searches agree to 1e-12: the scalar
+    walk and the batch's synchronized golden section evaluate other tilts."""
+    spec = request.getfixturevalue(f"{name}_model")
+    q, d = spec.codebook, spec.distortion
+    t_grid = simplex_grid_arrays(spec.source.alphabet_size, m)
+    batch = rate_values_batch(t_grid, q, d, level)
+    dsub, lnq = _restrict(q, d)
+    settled = ~np.isnan(_settle(t_grid, dsub - level, lnq)[0])
+    band = settled & np.isfinite(batch) & (batch > 0.0)
+    assert band.sum() == (17 if name == "fig1" else 1)
+    assert settled.all() if name == "fig1" else not settled.all()
+    exact = [rate_function(t, q, d, level).value for t in t_grid[settled]]
+    assert _hex(batch[settled]) == _hex(exact)
+    for i in np.flatnonzero(~settled)[::25]:
+        assert batch[i] == pytest.approx(rate_function(t_grid[i], q, d, level).value,
+                                         rel=1e-12, abs=1e-12)
+
+
+def _at_d_min_cases(fig_models, rng):
+    """(source, codebook, distortion, level) at and around each model's
+    minimal distortion on the codebook support and the source's rows."""
+    models = [(spec.source, spec.codebook, spec.distortion) for spec in fig_models]
+    for k in (2, 3, 4):
+        models.append((random_distribution(rng, k), random_distribution(rng, k),
+                       random_distortion(rng, k, k)))
+    models.append((Distribution([0.5, 0.0, 0.5]), Distribution([0.6, 0.4, 0.0]),
+                   DistortionModel([[0.3, 0.1, -2.0], [-1.0, 0.5, 0.2], [0.4, 0.2, -3.0]])))
+    for t, q, d in models:
+        d_min = float(d.values[np.ix_(t.probs > 0.0, q.probs > 0.0)].min())
+        for shift in (-2e-6, -5e-7, -1e-13, 0.0, 1e-13, 5e-7, 2e-6, 0.1):
+            yield t, q, d, d_min + shift
+
+
+def test_at_d_min_is_the_at_D_min_flag(fig1_model, fig2_model, fig3_model, rng):
+    """RateResult.at_d_min and the exponents' at_D_min flag read the same
+    smallest gap with the same tolerance."""
+    seen = set()
+    for t, q, d, level in _at_d_min_cases((fig1_model, fig2_model, fig3_model), rng):
+        flag = "at_D_min" in success_exponent(t, q, d, level, 0.1).boundary_flags
+        assert rate_function(t, q, d, level).at_d_min == flag, level
+        seen.add(flag)
+    assert seen == {False, True}
 
 
 def test_channel_distortion_structure():
